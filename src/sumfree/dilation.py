@@ -9,15 +9,19 @@ so some dilator x achieves at least the ceiling of that.
 Three ways to pick x:
 
 * ``sweep``    - x -> |A_x| is piecewise constant with breakpoints
-  (e + j)/a over a in A, e an arc endpoint, 0 <= j < a.  Evaluating the
-  midpoint of every consecutive breakpoint pair in exact rationals gives
-  the true maximum and the first interval attaining it.  Cost grows with
-  sum(A), so this is for moderate element sizes.
+  (e + j)/a over a in A, e an arc endpoint, 0 <= j < a.  An event sweep
+  sorts the 2*sum(A) entries and exits by exact integer keys and counts
+  between them, giving the true maximum and the first interval attaining
+  it in O(sum(A) log sum(A)) time.  Every sweep, explicit or picked by
+  ``auto``, stops with ResourceLimitError when 2*sum(A) + 2 exceeds
+  ``sweep_cap``, so this is for moderate element sizes.
 * ``descent``  - bisection steered by conditional expectation: keep the
   half-interval on which the average of |A_x| is larger until the interval
   sits inside one constancy region.  The average never drops below
-  |A|/(k+1), so the landing slice meets the guarantee.  Cost is
-  O(|A| log max(A)) regardless of element size.
+  |A|/(k+1), so the landing slice meets the guarantee.  It runs in exact
+  integers over dyadic points c/2^d and needs fewer than
+  2*bit_length(p*max(A)^2) + 2 halvings (see ``_descend``), each
+  O(|A|) integer operations, so the guarantee holds at any element size.
 * ``sampled``  - seeded random dilators, for quick exploration; no
   optimality claim, but every slice is still verified k-sum-free.
 
@@ -31,13 +35,14 @@ input.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .core import IntSet, is_k_sum_free, _require_arity
-from .errors import FalsificationError, InvalidParameterError
+from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 from .measures import RationalMeasure
 
 DEFAULT_SWEEP_CAP = 50_000
@@ -106,91 +111,118 @@ def _slice_members(elements: tuple[int, ...], x: Fraction, k: int) -> list[int]:
     return out
 
 
-def _member_measure(a: int, k: int, p: int, y: Fraction) -> Fraction:
-    """Length of {x in [0, y) : frac(a*x) in the arc}, via closed-form arc counting."""
-    if y <= 0:
-        return Fraction(0)
-    q = y * p * a
-    full = (q - k) // p + 1
-    if full < 0:
-        full = 0
-    elif full > a:
-        full = a
-    g = Fraction((k - 1) * full)
-    if full <= a - 1:
-        start = 1 + full * p
-        if q > start:
-            g += q - start
-    return g / (p * a)
+def _member_mass(a: int, k: int, p: int, c: int, s: int) -> int:
+    """p*a*s times the length of {x in [0, c/s) : frac(a*x) in the arc}.
+
+    The arcs of a are ((1 + j*p)/(p*a), (k + j*p)/(p*a)), 0 <= j < a: count
+    the ones that end by c/s, then add the part of the next one begun there.
+    """
+    q = c * p * a
+    full = (q - k * s) // (p * s) + 1
+    if full <= 0:
+        return max(q - s, 0)
+    if full >= a:
+        return (k - 1) * a * s
+    return (k - 1) * full * s + max(q - (1 + full * p) * s, 0)
 
 
-def _region_around(
-    elements: tuple[int, ...], k: int, p: int, x: Fraction
-) -> Optional[tuple[Fraction, Fraction]]:
-    """Largest breakpoint-free open interval around x, or None if x is a breakpoint."""
-    prev = Fraction(0)
-    nxt = Fraction(1)
+def _breakpoint_free(elements: tuple[int, ...], k: int, p: int, c: int, s: int) -> bool:
+    """True iff no breakpoint (t + j*p)/(p*a) lies in the open interval (c/s, (c+1)/s)."""
     for a in elements:
-        base = x * p * a
+        u = c * p * a
         for t in (1, k):
-            j = (base - t) // p
+            j = max((u - t * s) // (p * s) + 1, 0)
+            if j < a and (t + j * p) * s < u + p * a:
+                return False
+    return True
+
+
+def _region_midpoint(
+    elements: tuple[int, ...], k: int, p: int, lcm: int, c: int, s: int
+) -> Fraction:
+    """Midpoint between the last breakpoint at or before c/s and the first after it.
+
+    0 and 1 close the ends.  Breakpoints are compared by their integer keys
+    (t + j*p)*(lcm/a), which are the breakpoints times p*lcm.
+    """
+    prev, nxt = 0, p * lcm
+    for a in elements:
+        u = c * p * a
+        weight = lcm // a
+        for t in (1, k):
+            j = (u - t * s) // (p * s)  # last breakpoint of this kind at or before c/s
             if j >= 0:
-                if j > a - 1:
-                    j = a - 1
-                candidate = Fraction(t + j * p, p * a)
-                if candidate == x:
-                    return None
-                if candidate > prev:
-                    prev = candidate
-            j2 = j + 1 if j >= 0 else 0
-            if j2 <= a - 1:
-                candidate = Fraction(t + j2 * p, p * a)
-                if candidate < nxt:
-                    nxt = candidate
-    return prev, nxt
+                prev = max(prev, (t + min(j, a - 1) * p) * weight)
+            if j + 1 < a:
+                nxt = min(nxt, (t + (j + 1) * p) * weight)
+    return Fraction(prev + nxt, 2 * p * lcm)
 
 
 def _sweep(elements: tuple[int, ...], k: int) -> tuple[int, Fraction]:
-    """Exact maximum of |A_x| and the midpoint of the first maximizing interval."""
+    """Exact maximum of |A_x| and the midpoint of the first maximizing interval.
+
+    Element a is in the slice on the arcs ((1 + j*p)/(p*a), (k + j*p)/(p*a)).
+    Each breakpoint is keyed by the integer (t + j*p)*(lcm(A)/a), doubled,
+    plus one for an entry, so one integer sort orders the events exactly and
+    puts exits before entries at a shared breakpoint.  The count after an
+    event is then never above the count of the interval its breakpoint opens,
+    so the first event reaching the maximum sits on the first maximizing
+    interval's left end.
+    """
     p = k * k - 1
-    points = {Fraction(0), Fraction(1)}
+    lcm = math.lcm(*elements)
+    events: list[int] = []
     for a in elements:
-        for j in range(a):
-            points.add(Fraction(1 + j * p, p * a))
-            points.add(Fraction(k + j * p, p * a))
-    ordered = sorted(points)
-    best_count = -1
-    best_mid = Fraction(0)
-    for left, right in zip(ordered, ordered[1:]):
-        mid = (left + right) / 2
-        count = len(_slice_members(elements, mid, k))
-        if count > best_count:
-            best_count = count
-            best_mid = mid
-    return best_count, best_mid
+        unit = 2 * (lcm // a)
+        stop = unit * p * a
+        events.extend(range(unit + 1, stop, unit * p))
+        events.extend(range(k * unit, stop, unit * p))
+    events.sort()
+    count = best = best_at = 0
+    for idx, event in enumerate(events):
+        if event & 1:
+            count += 1
+            if count > best:
+                best, best_at = count, idx
+        else:
+            count -= 1
+    left = events[best_at] >> 1
+    idx = best_at + 1
+    while events[idx] >> 1 == left:
+        idx += 1
+    return best, Fraction(left + (events[idx] >> 1), 2 * p * lcm)
 
 
-def _descend(elements: tuple[int, ...], k: int) -> tuple[Fraction, Fraction]:
-    """Conditional-expectation bisection down to one constancy region.
+def _descend(elements: tuple[int, ...], k: int) -> Fraction:
+    """Conditional-expectation bisection down to one constancy region; returns its midpoint.
 
     Invariant: the average of |A_x| over the current interval never drops,
     so it stays at least |A|/(k+1); the final region's constant value equals
     that average, which is how the guarantee survives derandomization.
+
+    The interval is [c/2^d, (c+1)/2^d] and masses are kept as integers
+    scaled by p*lcm(A)*2^d, so every comparison is exact.  Distinct
+    breakpoints differ by at least 1/(p*a*a'), so by depth D =
+    bit_length(p*max(A)^2) the interval holds at most one breakpoint inside.
+    The halving then keeps that breakpoint only while moving towards an end
+    fixed since depth D, which is at least 1/(p*a*2^D) away from it, so
+    fewer than 2*D + 2 steps always reach a breakpoint-free interval.
     """
     p = k * k - 1
-    xl, xr = Fraction(0), Fraction(1)
-    mass_l = Fraction(0)
-    mass_r = sum(_member_measure(a, k, p, Fraction(1)) for a in elements)
-    for _ in range(200):
-        xm = (xl + xr) / 2
-        region = _region_around(elements, k, p, xm)
-        if region is not None and region[0] <= xl and xr <= region[1]:
-            return region
-        mass_m = sum(_member_measure(a, k, p, xm) for a in elements)
-        if mass_m - mass_l >= mass_r - mass_m:
-            xr, mass_r = xm, mass_m
+    lcm = math.lcm(*elements)
+    weighted = [(a, lcm // a) for a in elements]
+    c, s = 0, 1
+    mass_l, mass_r = 0, (k - 1) * lcm * len(elements)
+    for _ in range(2 * (p * elements[-1] ** 2).bit_length() + 2):
+        if _breakpoint_free(elements, k, p, c, s):
+            return _region_midpoint(elements, k, p, lcm, c, s)
+        c, s = 2 * c + 1, 2 * s
+        mass_m = sum(_member_mass(a, k, p, c, s) * w for a, w in weighted)
+        mass_l, mass_r = 2 * mass_l, 2 * mass_r
+        if 2 * mass_m >= mass_l + mass_r:
+            c, mass_r = c - 1, mass_m
         else:
-            xl, mass_l = xm, mass_m
+            mass_l = mass_m
     raise FalsificationError("expectation descent failed to localize a constancy region")
 
 
@@ -219,25 +251,31 @@ def extract_dilate_exhaustive(
     full breakpoint sweep.  ``method="descent"`` runs the expectation
     bisection, which meets the same guarantee at any element size but does
     not claim global optimality.  ``auto`` sweeps when the breakpoint count
-    2*sum(A) stays under ``sweep_cap`` and descends otherwise.
+    2*sum(A) + 2 stays within ``sweep_cap`` and descends otherwise; an
+    explicit ``method="sweep"`` over the cap raises ResourceLimitError with
+    ``required`` set to that count.
     """
     _require_arity(k)
     if not s:
         raise InvalidParameterError("cannot extract from the empty set")
     if not interval_is_k_sum_free(k):
         raise FalsificationError(f"arc for k={k} failed its sum-freeness check")
+    required = 2 * sum(s.elements) + 2
     if method == "auto":
-        method = "sweep" if 2 * sum(s.elements) + 2 <= sweep_cap else "descent"
+        method = "sweep" if required <= sweep_cap else "descent"
     if method == "sweep":
+        if required > sweep_cap:
+            raise ResourceLimitError(
+                f"sweep needs {required} breakpoints, over the cap of {sweep_cap}", required
+            )
         count, mid = _sweep(s.elements, k)
         result = _finalize_circle_result(s, k, mid, "sweep", require_guarantee=True)
         if result.score != count:
             raise FalsificationError("sweep maximizer does not reproduce its count")
         return result
     if method == "descent":
-        left, right = _descend(s.elements, k)
         return _finalize_circle_result(
-            s, k, (left + right) / 2, "descent", require_guarantee=True
+            s, k, _descend(s.elements, k), "descent", require_guarantee=True
         )
     raise InvalidParameterError(f"unknown extraction method {method!r}")
 

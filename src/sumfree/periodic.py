@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import IntSet, _require_arity, difference_witness, is_k_sum_free
 from .errors import FalsificationError, InvalidParameterError
@@ -407,7 +407,9 @@ class Falsified:
     tag = "falsified"
 
 
-StepOutcome = Union[PeriodicContainment, DensityDrop, ApNotFound, Falsified]
+# a types.UnionType: a typing.Union would sit in typing's cache and keep this
+# module alive after the package is imported afresh
+StepOutcome = PeriodicContainment | DensityDrop | ApNotFound | Falsified
 
 
 def _derive_difference(

@@ -76,6 +76,30 @@ def test_extract_erdos(capsys, set_file):
     assert "method=sweep" in out
 
 
+def test_extract_erdos_prints_the_descent_dilator(capsys, set_file):
+    path = set_file("a.txt", [147623, 188293, 271878, 458128, 665535, 876916])
+    assert main(["extract", "erdos", "--k", "3", "--in", path]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("dilator=61547337961/996439395072\nscore=")
+    assert "method=descent" in out
+
+
+def test_extract_erdos_sweep_over_its_cap_exits_three(monkeypatch, capsys, set_file):
+    # the command always extracts with method="auto", which never sweeps over
+    # the cap, so splice in an explicit sweep at the seam
+    from sumfree.dilation import extract_dilate_exhaustive
+
+    monkeypatch.setattr(
+        "sumfree.cli.extract_dilate_exhaustive",
+        lambda s, k: extract_dilate_exhaustive(s, k, method="sweep", sweep_cap=100),
+    )
+    path = set_file("a.txt", [10, 20, 30])
+    assert main(["extract", "erdos", "--k", "2", "--in", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource limit: sweep needs 122 breakpoints" in captured.err
+
+
 def test_extract_erdos_sampled(capsys, set_file):
     path = set_file("a.txt", range(1, 30))
     code = main(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -22,6 +23,7 @@ from sumfree import (
     read_set_file,
     write_set_file,
 )
+from sumfree import core
 
 
 def naive_violations(elements, k):
@@ -239,3 +241,52 @@ def test_file_round_trip(tmp_path):
     s = IntSet.of([4, 1, 77])
     write_set_file(str(path), s)
     assert read_set_file(str(path)) == s
+
+
+def routing_corpus():
+    """Dense small sets (periodic traffic) and sparse sets below 10^6 (extraction traffic).
+
+    Sizes run through the range where the cost estimate changes its mind,
+    and half of the sets are made k-sum-free so no route can stop early.
+    """
+    rng = random.Random(2014)
+    for k in (2, 3, 4, 5):
+        for n in (2, 4, 8, 16, 24, 40):
+            for top in (3 * n, 30 * n, 10**6):
+                values = rng.sample(range(1, top + 1), n)
+                yield values, k
+                yield [a for a in values if a % (k + 1) == 1] or [1], k
+
+
+def test_predicate_routes_agree_on_both_sides_of_the_routing_boundary():
+    chosen = set()
+    for values, k in routing_corpus():
+        s = IntSet.of(values)
+        expected = not naive_violations(s.elements, k)
+        assert core._bitset_route(s.elements, k) == expected
+        assert core._enumeration_route(s.elements, k) == expected
+        assert is_k_sum_free(s, k) == expected
+        chosen.add(core._enumeration_is_cheaper(s.elements, k))
+    assert chosen == {True, False}
+
+
+def test_cost_estimate_routes_dense_sets_to_bitsets_and_sparse_sets_to_enumeration():
+    odd = IntSet.of(range(1, 400, 2))
+    assert not core._enumeration_is_cheaper(odd.elements, 2)
+    sparse = IntSet.of(random.Random(7).sample(range(1, 10**6), 40))
+    for k in (2, 3, 4, 5):
+        assert core._enumeration_is_cheaper(sparse.elements, k)
+
+
+def test_small_bitset_caps_force_enumeration(monkeypatch):
+    def refuse(elements, k):
+        raise AssertionError("bitset route taken under a cap below the largest element")
+
+    monkeypatch.setattr(core, "_bitset_route", refuse)
+    for values, k in routing_corpus():
+        s = IntSet.of(values)
+        if s.largest() < 2:
+            continue
+        expected = not naive_violations(s.elements, k)
+        assert is_k_sum_free(s, k, bitset_cap=0) == expected
+        assert is_k_sum_free(s, k, bitset_cap=1) == expected

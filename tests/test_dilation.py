@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from sumfree import (
     FolnerGrid,
     IntSet,
     InvalidParameterError,
+    ResourceLimitError,
     OpenInterval,
     erdos_interval,
     evaluate,
@@ -26,6 +28,7 @@ from sumfree import (
     max_k_sum_free,
     uniform_measure,
 )
+from sumfree.dilation import _sweep
 
 
 def slice_members(s: IntSet, x: Fraction, lo: Fraction, hi: Fraction) -> IntSet:
@@ -238,3 +241,145 @@ def test_measure_extraction_bound():
     eps = max(Fraction(len({a * x for x in fset} ^ fset), len(fset)) for a in range(1, n + 1))
     assert got.score >= delta - eps
     assert evaluate(uniform_measure(n), got.subset) == got.score
+
+
+def oracle_sweep(elements, k):
+    """Reference sweep: the sliced count at the midpoint of every breakpoint gap.
+
+    Fraction arithmetic and the definition only; returns the maximum count and
+    the midpoint of the first gap that attains it.
+    """
+    p = k * k - 1
+    arc = erdos_interval(k)
+    points = {Fraction(0), Fraction(1)}
+    for a in elements:
+        for j in range(a):
+            points.add(Fraction(1 + j * p, p * a))
+            points.add(Fraction(k + j * p, p * a))
+    ordered = sorted(points)
+    best_count, best_mid = -1, Fraction(0)
+    s = IntSet(tuple(elements))
+    for left, right in zip(ordered, ordered[1:]):
+        mid = (left + right) / 2
+        count = len(slice_members(s, mid, arc.lo, arc.hi))
+        if count > best_count:
+            best_count, best_mid = count, mid
+    return best_count, best_mid
+
+
+@given(
+    st.sets(st.integers(min_value=1, max_value=120), min_size=1, max_size=8),
+    st.integers(min_value=2, max_value=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_event_sweep_matches_fraction_oracle(values, k):
+    s = IntSet.of(values)
+    expected = oracle_sweep(s.elements, k)
+    assert _sweep(s.elements, k) == expected
+    got = extract_dilate_exhaustive(s, k, method="sweep")
+    assert (got.score, got.dilator) == expected
+
+
+# Dilators of `auto` extraction, recorded from the Fraction-based kernels that
+# the integer sweep and descent replaced; `sumfree extract erdos` prints them.
+PINNED_DILATORS = [
+    (
+        (11, 59, 89, 108, 116, 197, 272, 334),
+        2, "sweep", Fraction(1565, 11016),
+    ),
+    (
+        (6, 145, 176, 215, 223, 280, 283, 330, 375, 383, 399),
+        3, "sweep", Fraction(139, 154280),
+    ),
+    (
+        (62, 64, 85, 89, 136, 156, 158, 194, 288, 303, 318, 337, 366, 370),
+        4, "sweep", Fraction(457, 754800),
+    ),
+    (
+        (4, 63, 117, 172, 193, 218, 222, 240, 302, 325, 328, 330, 356, 368, 371, 383,
+         387),
+        5, "sweep", Fraction(1, 2236),
+    ),
+    (
+        (19, 41, 74, 96, 130, 145, 150, 176, 195, 230, 231, 288, 308, 314, 315, 356,
+         364, 383, 386, 398),
+        2, "sweep", Fraction(3989, 67936),
+    ),
+    (
+        (11, 14, 19, 91, 115, 151, 156, 172, 205, 212, 215, 219, 258, 263, 271, 292,
+         311, 312, 347, 358, 369, 378, 385),
+        3, "sweep", Fraction(419, 465080),
+    ),
+    (
+        (147623, 188293, 271878, 458128, 665535, 876916),
+        3, "descent", Fraction(61547337961, 996439395072),
+    ),
+    (
+        (43253, 145046, 182560, 221170, 237078, 256630, 627827, 701309, 928074, 949906,
+         982212, 987606),
+        4, "descent", Fraction(5271683, 5549147010),
+    ),
+    (
+        (2375, 82852, 129593, 361768, 461862, 470385, 501063, 513456, 520900, 578377,
+         685558, 692058, 758833, 837436, 847115, 900351, 943898, 964326),
+        5, "descent", Fraction(53654311957, 1897166520576),
+    ),
+    (
+        (56244, 109620, 172716, 317849, 392385, 511102, 511212, 573638, 611305, 618975,
+         661951, 662439, 663802, 715405, 716751, 759918, 815178, 824959, 857823, 884986,
+         917222, 940443, 952407, 960083),
+        2, "descent", Fraction(112327761935, 1274490020757),
+    ),
+    (
+        (25696, 88312, 126626, 134438, 136161, 154055, 160127, 169850, 228847, 249741,
+         263872, 313294, 343926, 424049, 438695, 445192, 457267, 475312, 489066, 491832,
+         546883, 566509, 663888, 681079, 708085, 714978, 735026, 799605, 809971,
+         880861),
+        3, "descent", Fraction(18779341, 1988197326040),
+    ),
+    (
+        (54323, 75788, 80727, 83508, 109855, 154454, 173794, 205750, 209550, 245404,
+         250300, 292263, 355285, 364774, 376318, 386233, 458574, 487541, 497250, 504679,
+         517959, 525065, 567378, 572285, 658943, 662889, 667535, 747531, 764094, 767354,
+         794343, 798517, 824182, 883560, 886468, 892038),
+        4, "descent", Fraction(936827, 3283645400280),
+    ),
+]
+
+
+@pytest.mark.parametrize("elements, k, method, dilator", PINNED_DILATORS)
+def test_auto_dilators_are_pinned(elements, k, method, dilator):
+    got = extract_dilate_exhaustive(IntSet(elements), k)
+    assert (got.method, got.dilator) == (method, dilator)
+
+
+def check_descent(s, k):
+    got = extract_dilate_exhaustive(s, k, method="descent")
+    assert got.score * (k + 1) >= len(s)
+    assert is_k_sum_free(got.subset, k)
+    arc = erdos_interval(k)
+    assert got.subset == slice_members(s, got.dilator, arc.lo, arc.hi)
+
+
+@given(
+    st.sets(st.integers(min_value=1, max_value=10**300), min_size=1, max_size=8),
+    st.integers(min_value=2, max_value=5),
+)
+@settings(max_examples=25, deadline=None)
+def test_descent_guarantee_at_huge_elements(values, k):
+    check_descent(IntSet.of(values), k)
+
+
+def test_descent_localizes_thirty_elements_below_ten_to_sixty():
+    # a fixed 200-step bisection cap used to give up on this set
+    rng = random.Random(200)
+    s = IntSet.of(rng.randrange(1, 10**60) for _ in range(30))
+    check_descent(s, 2)
+
+
+def test_explicit_sweep_respects_its_cap():
+    s = IntSet.of([10, 20, 30])  # 2*sum(A) + 2 = 122 breakpoints
+    assert extract_dilate_exhaustive(s, 2, method="sweep", sweep_cap=122).method == "sweep"
+    with pytest.raises(ResourceLimitError) as caught:
+        extract_dilate_exhaustive(s, 2, method="sweep", sweep_cap=121)
+    assert caught.value.required == 122
