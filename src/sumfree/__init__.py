@@ -6,6 +6,8 @@ multiplicative grids with dilation defects, residue-level periodic
 analysis, and finitely supported rational measures.
 """
 
+import types
+
 from .core import (
     IntSet,
     Violation,
@@ -85,71 +87,9 @@ from .solver import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApNotFound",
-    "DensityDrop",
-    "DensityDropInstance",
-    "ExtractionResult",
-    "Falsified",
-    "FalsificationError",
-    "FolnerGrid",
-    "ForbiddenHypergraph",
-    "IntSet",
-    "InvalidParameterError",
-    "MaxFractionResult",
-    "NuSchedule",
-    "OpenInterval",
-    "PeriodicContainment",
-    "RationalMeasure",
-    "ResidueSet",
-    "ResourceLimitError",
-    "SolveResult",
-    "StepOutcome",
-    "Violation",
-    "build_hypergraph",
-    "build_mu",
-    "build_nu",
-    "check_translate_inequality",
-    "contains",
-    "contraction_index",
-    "defect",
-    "defect_closed_form",
-    "density",
-    "difference_kernel",
-    "difference_witness",
-    "erdos_interval",
-    "evaluate",
-    "extract_dilate_exhaustive",
-    "extract_dilate_folner",
-    "extract_dilate_measure",
-    "extract_dilate_sampled",
-    "find_ap",
-    "find_violation",
-    "first_primes",
-    "fls_step",
-    "format_set_text",
-    "generate",
-    "geometric_schedule",
-    "interval_is_k_sum_free",
-    "is_k_sum_free",
-    "is_residue_k_sum_free",
-    "is_strongly_k_sum_free",
-    "k_difference_set",
-    "max_fraction",
-    "max_k_sum_free",
-    "min_ap_length",
-    "mix",
-    "parse_instance",
-    "parse_measure",
-    "parse_set_text",
-    "periodic_hull",
-    "pushforward_scale",
-    "read_set_file",
-    "serialize_instance",
-    "serialize_measure",
-    "set_dilation_defect",
-    "uniform_measure",
-    "upper_density_on_multiples_periodic",
-    "verify_density_drop",
-    "write_set_file",
-]
+# every public name imported above; the submodules themselves stay out
+__all__ = sorted(
+    name
+    for name, value in vars().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -9,11 +9,11 @@ reproduced and inspected.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from fractions import Fraction
 
 from .core import (
-    IntSet,
     find_violation,
     format_set_text,
     is_k_sum_free,
@@ -35,16 +35,20 @@ from .experiments import (
     run_ratio_experiment,
 )
 from .folner import FolnerGrid, defect, defect_closed_form, generate
+from .harness import grow_k_sum_free, random_drop_instance, random_inequality_case
 from .measures import build_mu, serialize_measure, uniform_measure
 from .periodic import (
     ApNotFound,
     DensityDrop,
     Falsified,
     PeriodicContainment,
+    check_translate_inequality,
     fls_step,
     geometric_schedule,
+    min_ap_length,
     periodic_hull,
     serialize_instance,
+    verify_density_drop,
 )
 from .solver import max_k_sum_free
 
@@ -186,10 +190,8 @@ def _cmd_periodic_fls_step(args) -> int:
         print(f"outcome={outcome.tag}")
         return 0
     assert isinstance(outcome, Falsified)
-    path = args.falsified_out
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(serialize_instance(outcome.instance))
-    print(f"outcome={outcome.tag} reason={outcome.reason!r} instance={path}")
+    _write_instance(args.falsified_out, outcome.instance)
+    print(f"outcome={outcome.tag} reason={outcome.reason!r} instance={args.falsified_out}")
     return 4
 
 
@@ -198,6 +200,54 @@ def _cmd_measure_build_mu(args) -> int:
         raise InvalidParameterError(f"unknown provider {args.provider!r}")
     measure = build_mu(args.steps, args.modulus, args.k, uniform_measure, n_start=args.start)
     sys.stdout.write(serialize_measure(measure))
+    return 0
+
+
+def _write_instance(path: str, instance) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(serialize_instance(instance))
+
+
+def _cmd_experiment_fls_soak(args) -> int:
+    """Three seeded waves: drop instances, translate inequalities, full steps.
+
+    Exits 4 on the first falsification, writing the instance when there is one.
+    """
+    rng = random.Random(args.seed)
+    for trial in range(args.trials):
+        k = 2 if trial % 2 == 0 else 3
+        inst = random_drop_instance(k, rng, mirrored=(trial % 5 == 0))
+        if verify_density_drop(inst, k) is not True:
+            _write_instance(args.falsified_out, inst)
+            print(f"FALSIFIED density drop, instance at {args.falsified_out}")
+            return 4
+    print(f"density drop verified on {args.trials} instances")
+
+    for trial in range(args.trials):
+        k = 2 if trial % 2 == 0 else 3
+        s, n, x, m, i = random_inequality_case(k, rng)
+        if check_translate_inequality(s, n, x, m, i, k) is not True:
+            print(f"FALSIFIED translate inequality: n={n} x={x} m={m} i={i} k={k}")
+            return 4
+    print(f"translate inequality verified on {args.trials} instances")
+
+    outcomes: dict[str, int] = {}
+    for trial in range(args.trials):
+        k = 2 if trial % 2 == 0 else 3
+        s = grow_k_sum_free(k, 600, rng=rng, include_probability=rng.uniform(0.4, 1.0))
+        n0 = rng.randrange(30, 80)
+        eps = Fraction(1, rng.randrange(8, 30))
+        if s.upto(n0) and len(s.upto(n0)) * Fraction(1, n0) >= Fraction(1, k + 1) + eps:
+            q = rng.randrange(1, 9)
+            i = min_ap_length(k, eps)
+            schedule = geometric_schedule(n0, Fraction(16 * k) / eps, k * n0)
+            out = fls_step(s, k, n0, q, i, eps, schedule)
+            outcomes[out.tag] = outcomes.get(out.tag, 0) + 1
+            if isinstance(out, Falsified):
+                _write_instance(args.falsified_out, out.instance)
+                print(f"FALSIFIED periodic step, instance at {args.falsified_out}")
+                return 4
+    print(f"periodic step outcomes: {outcomes}")
     return 0
 
 
@@ -334,6 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     extract_exp.add_argument("--magnitude", type=int, default=10**6)
     extract_exp.add_argument("--timing", action="store_true")
     extract_exp.set_defaults(handler=_cmd_experiment_extract)
+    soak = experiment_sub.add_parser("fls-soak", help="seeded soak of the periodic step")
+    soak.add_argument("--trials", type=int, default=100, help="instances per wave")
+    soak.add_argument("--seed", type=int, default=0)
+    soak.add_argument("--falsified-out", dest="falsified_out", default=DEFAULT_FALSIFIED_PATH)
+    soak.set_defaults(handler=_cmd_experiment_fls_soak)
 
     return parser
 

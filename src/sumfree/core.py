@@ -127,25 +127,42 @@ def _bitset_route(elements: tuple[int, ...], k: int) -> bool:
     return (sums & mask) == 0
 
 
-def _enumeration_route(elements: tuple[int, ...], k: int) -> bool:
-    top = elements[-1]
+def _violations(
+    elements: tuple[int, ...], k: int, top: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each (summands, total) with k nondecreasing summands, total <= top, total in A.
+
+    Yields in lexicographic order of the summands.  A summand is pushed only
+    above the leaf level, so the last summand is a plain loop; the branch
+    stops as soon as the remaining summands cannot stay within ``top``.
+    """
     members = frozenset(elements)
     count = len(elements)
+    picked: list[int] = []
 
-    def extend(start: int, chosen: int, total: int) -> bool:
-        remaining = k - chosen
+    def extend(start: int, total: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        remaining = k - len(picked)
+        if remaining == 1:
+            for idx in range(start, count):
+                a = elements[idx]
+                if total + a > top:
+                    break
+                if total + a in members:
+                    yield (*picked, a), total + a
+            return
         for idx in range(start, count):
             a = elements[idx]
             if total + a * remaining > top:
                 break
-            if remaining == 1:
-                if total + a in members:
-                    return True
-            elif extend(idx, chosen + 1, total + a):
-                return True
-        return False
+            picked.append(a)
+            yield from extend(idx, total + a)
+            picked.pop()
 
-    return not extend(0, 0, 0)
+    return extend(0, 0)
+
+
+def _enumeration_route(elements: tuple[int, ...], k: int) -> bool:
+    return next(_violations(elements, k, elements[-1]), None) is None
 
 
 def _enumeration_is_cheaper(elements: tuple[int, ...], k: int) -> bool:
@@ -190,37 +207,28 @@ def find_violation(s: IntSet, k: int) -> Optional[Violation]:
     tuple, so the answer is reproducible across runs.
     """
     _require_arity(k)
-    elements = s.elements
-    if not elements:
+    if not s:
         return None
-    count = len(elements)
-    picked: list[int] = []
-
-    def search(start: int, left: int, target: int) -> bool:
-        if left == 0:
-            return target == 0
-        if elements[-1] * left < target:
-            return False
-        for idx in range(start, count):
-            a = elements[idx]
-            if a * left > target:
-                break
-            picked.append(a)
-            if search(idx, left - 1, target - a):
-                return True
-            picked.pop()
-        return False
-
-    for total in elements:
-        if search(0, k, total):
-            return Violation(tuple(picked), total)
-    return None
+    # the first hit at or below `top` has the smallest summands there;
+    # lowering `top` below each hit's total ends on the smallest total
+    found, top = None, s.largest()
+    while (hit := next(_violations(s.elements, k, top), None)) is not None:
+        found, top = hit, hit[1] - 1
+    return None if found is None else Violation(*found)
 
 
 def is_strongly_k_sum_free(s: IntSet, k: int, bitset_cap: int = DEFAULT_BITSET_CAP) -> bool:
     """True iff s is ell-sum-free for every ell in 2..k."""
     _require_arity(k)
     return all(is_k_sum_free(s, ell, bitset_cap) for ell in range(2, k + 1))
+
+
+def _sums_of(elements: tuple[int, ...], count: int) -> set:
+    """All sums of ``count`` elements, repetition allowed; {0} when count is 0."""
+    sums = {0}
+    for _ in range(count):
+        sums = {t + a for t in sums for a in elements}
+    return sums
 
 
 def k_difference_set(s: IntSet, k: int, n: int) -> frozenset:
@@ -232,9 +240,7 @@ def k_difference_set(s: IntSet, k: int, n: int) -> frozenset:
     restricted = s.upto(n).elements
     if not restricted:
         return frozenset()
-    sums = {0}
-    for _ in range(k - 1):
-        sums = {t + a for t in sums for a in restricted}
+    sums = _sums_of(restricted, k - 1)
     return frozenset(u - t for u in restricted for t in sums)
 
 
@@ -247,9 +253,7 @@ def difference_witness(s: IntSet, t: int, k: int) -> Optional[int]:
     _require_arity(k)
     if not s:
         return None
-    sums = {0}
-    for _ in range(k - 1):
-        sums = {x + a for x in sums for a in s.elements}
+    sums = _sums_of(s.elements, k - 1)
     for u in s.elements:
         if u - t in sums:
             return u

@@ -301,38 +301,18 @@ def extract_dilate_sampled(s: IntSet, k: int, samples: int, seed: int) -> Extrac
 def extract_dilate_folner(s: IntSet, f: IntSet, inner: IntSet, k: int) -> ExtractionResult:
     """Best slice A_x = {a : a*x in S} over grid dilators x in F.
 
-    S must be a k-sum-free subset of F.  The averaging bound
+    S must be a k-sum-free subset of F.  This is ``extract_dilate_measure``
+    under the counting measure on A, so the averaging bound
     max_x |A_x| >= (|S|/|F|)*|A| - sum_a |aF △ F|/|F| is reported as
-    ``lower_bound`` and enforced.
+    ``lower_bound`` and enforced; the score is the integer |A_x|.
     """
-    from .folner import set_dilation_defect
-
-    _require_arity(k)
     if not s or not f:
         raise InvalidParameterError("both the source set and the grid must be nonempty")
-    if any(x not in f for x in inner):
-        raise InvalidParameterError("designated sum-free set must sit inside the grid")
-    if not is_k_sum_free(inner, k):
-        raise InvalidParameterError(f"designated subset is not {k}-sum-free")
-    inner_members = set(inner.elements)
-    best_x = None
-    best_subset: tuple[int, ...] = ()
-    for x in f.elements:
-        subset = tuple(a for a in s.elements if a * x in inner_members)
-        if best_x is None or len(subset) > len(best_subset):
-            best_x = x
-            best_subset = subset
-    assert best_x is not None
-    density = Fraction(len(inner), len(f))
-    bound = density * len(s) - sum(set_dilation_defect(f, a) for a in s.elements)
-    if len(best_subset) < bound:
-        raise FalsificationError(
-            f"grid extraction score {len(best_subset)} fell below its proven bound {bound}"
-        )
-    subset = IntSet(best_subset)
-    if not is_k_sum_free(subset, k):
-        raise FalsificationError("grid slice is not sum-free; this should be impossible")
-    return ExtractionResult(best_x, subset, len(best_subset), bound, "folner")
+    counting = RationalMeasure.from_weights(dict.fromkeys(s.elements, 1))
+    result = extract_dilate_measure(f, inner, counting, k)
+    return ExtractionResult(
+        result.dilator, result.subset, len(result.subset), result.lower_bound, "folner"
+    )
 
 
 def extract_dilate_measure(

@@ -81,6 +81,15 @@ class FolnerGrid:
         return self.exponent_bound**self.prime_count
 
 
+def _products(grid: FolnerGrid) -> list[int]:
+    """Every element of the grid, unsorted: products of prime powers below the bound."""
+    values = [1]
+    for p in grid.primes:
+        powers = [p**e for e in range(grid.exponent_bound)]
+        values = [v * q for v in values for q in powers]
+    return values
+
+
 def generate(grid: FolnerGrid, cap: int = DEFAULT_GENERATE_CAP) -> IntSet:
     """Enumerate the full grid, refusing to materialize more than ``cap`` elements."""
     size = grid.size()
@@ -88,11 +97,7 @@ def generate(grid: FolnerGrid, cap: int = DEFAULT_GENERATE_CAP) -> IntSet:
         raise ResourceLimitError(
             f"grid has {size} elements, over the enumeration cap {cap}", required=size
         )
-    values = [1]
-    for p in grid.primes:
-        powers = [p**e for e in range(grid.exponent_bound)]
-        values = [v * q for v in values for q in powers]
-    return IntSet.of(values)
+    return IntSet.of(_products(grid))
 
 
 def contains(grid: FolnerGrid, n: int) -> Optional[tuple[int, ...]]:
@@ -154,27 +159,19 @@ def defect(
 ) -> Fraction:
     """Exact dilation defect |aF △ F| / |F|.
 
-    Grids small enough to enumerate are measured by direct set arithmetic,
-    which keeps this route independent of ``defect_closed_form``.  Larger
-    grids fall back to counting surviving exponent vectors, which avoids
-    enumeration entirely.
+    Grids small enough to enumerate are measured directly: multiplying by a
+    is injective, so |aF △ F| = 2*(|F| - |aF ∩ F|), and the intersection is
+    counted by membership in the set of grid elements.  That keeps this
+    route independent of ``defect_closed_form``, which larger grids return.
     """
     if not isinstance(a, int) or a < 1:
         raise InvalidParameterError(f"dilation factor must be a positive integer, got {a!r}")
     size = grid.size()
-    if size <= enumeration_cap:
-        base = generate(grid, cap=enumeration_cap)
-        members = set(base.elements)
-        dilated = {a * x for x in base.elements}
-        return Fraction(len(members.symmetric_difference(dilated)), size)
-    exponents = _factor_over(grid.primes, a)
-    if exponents is None:
-        return Fraction(2)
-    b = grid.exponent_bound
-    surviving = 1
-    for c in exponents.values():
-        surviving *= max(0, b - c)
-    return Fraction(2 * (size - surviving), size)
+    if size > enumeration_cap:
+        return defect_closed_form(grid, a)
+    members = set(_products(grid))
+    shared = sum(1 for x in members if a * x in members)
+    return Fraction(2 * (size - shared), size)
 
 
 def set_dilation_defect(f: IntSet, a: int) -> Fraction:

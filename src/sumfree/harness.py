@@ -12,9 +12,9 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntSet, _require_arity
+from .core import IntSet, _require_arity, k_difference_set
 from .errors import InvalidParameterError
-from .periodic import DensityDropInstance, geometric_schedule
+from .periodic import DensityDropInstance, _progressions, geometric_schedule
 
 
 def random_int_set(rng: random.Random, size: int, magnitude: int) -> IntSet:
@@ -94,15 +94,7 @@ def find_progressions(
     """All (start, step) of length-ap_length progressions in s ∩ [1, n0]."""
     if ap_length < 2:
         raise InvalidParameterError(f"progression search needs length >= 2, got {ap_length}")
-    members = set(s.upto(n0).elements)
-    found = []
-    for m in range(1, max_step + 1):
-        for x in sorted(members):
-            if x + (ap_length - 1) * m > n0:
-                break
-            if all(x + j * m in members for j in range(1, ap_length)):
-                found.append((x, m))
-    return found
+    return list(_progressions(s, n0, ap_length, range(1, max_step + 1)))
 
 
 def random_drop_instance(
@@ -132,11 +124,7 @@ def random_drop_instance(
         if not choices:
             continue
         x, m = choices[rng.randrange(len(choices))]
-        restricted = s.upto(n0).elements
-        sums = {0}
-        for _ in range(k - 1):
-            sums = {t + a for t in sums for a in restricted}
-        diffs = {u - t for u in restricted for t in sums}
+        diffs = k_difference_set(s, k, n0)
         if mirrored:
             compatible = sorted(d for d in diffs if d > x and (d - x) % m == 0)
         else:

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import IntSet, _require_arity, difference_witness, is_k_sum_free
 from .errors import FalsificationError, InvalidParameterError
@@ -110,6 +110,23 @@ def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
     return ResidueSet(r.modulus, kept)
 
 
+def _progressions(
+    s: IntSet, n0: int, ap_length: int, steps: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """(start, step) of each ap_length-term progression in s ∩ [1, n0].
+
+    Steps are taken in the given order, and starts ascending within a step.
+    """
+    restricted = s.upto(n0).elements
+    members = set(restricted)
+    for m in steps:
+        for x in restricted:
+            if x + (ap_length - 1) * m > n0:
+                break
+            if all(x + j * m in members for j in range(1, ap_length)):
+                yield (x, m)
+
+
 def find_ap(s: IntSet, n0: int, ap_length: int, modulus: int) -> Optional[tuple[int, int]]:
     """An arithmetic progression in s ∩ [1, n0] with step dividing modulus.
 
@@ -123,17 +140,8 @@ def find_ap(s: IntSet, n0: int, ap_length: int, modulus: int) -> Optional[tuple[
         raise InvalidParameterError(f"modulus must be >= 1, got {modulus}")
     if n0 < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {n0}")
-    members = set(s.upto(n0).elements)
-    if not members:
-        return None
-    divisors = [m for m in range(1, modulus + 1) if modulus % m == 0]
-    for m in divisors:
-        for x in sorted(members):
-            if x + (ap_length - 1) * m > n0:
-                break
-            if all(x + j * m in members for j in range(1, ap_length)):
-                return (x, m)
-    return None
+    divisors = (m for m in range(1, modulus + 1) if modulus % m == 0)
+    return next(_progressions(s, n0, ap_length, divisors), None)
 
 
 def _drop_expression(ap_length: int, k: int) -> Fraction:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import IntSet, is_k_sum_free, is_strongly_k_sum_free, _require_arity
+from .core import IntSet, is_k_sum_free, is_strongly_k_sum_free, _require_arity, _violations
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 from .folner import FolnerGrid, generate
 
@@ -42,31 +42,13 @@ class ForbiddenHypergraph:
 
 
 def _collect_supports(elements: tuple[int, ...], k: int, cap: int, supports: set) -> None:
-    top = elements[-1]
-    members = frozenset(elements)
-    count = len(elements)
-    stack: list[int] = []
-
-    def extend(start: int, chosen: int, total: int) -> None:
-        remaining = k - chosen
-        for idx in range(start, count):
-            a = elements[idx]
-            if total + a * remaining > top:
-                break
-            stack.append(a)
-            if remaining == 1:
-                if total + a in members:
-                    supports.add(frozenset(stack + [total + a]))
-                    if len(supports) > cap:
-                        raise ResourceLimitError(
-                            f"violating-multiset supports exceed the edge cap {cap}",
-                            required=len(supports),
-                        )
-            else:
-                extend(idx, chosen + 1, total + a)
-            stack.pop()
-
-    extend(0, 0, 0)
+    for summands, total in _violations(elements, k, elements[-1]):
+        supports.add(frozenset((*summands, total)))
+        if len(supports) > cap:
+            raise ResourceLimitError(
+                f"violating-multiset supports exceed the edge cap {cap}",
+                required=len(supports),
+            )
 
 
 def build_hypergraph(
@@ -118,8 +100,8 @@ def _mask_to_set(mask: int, vertices: tuple[int, ...]) -> IntSet:
     return IntSet(tuple(v for i, v in enumerate(vertices) if mask >> i & 1))
 
 
-def _solve_brute(vertices: tuple[int, ...], masks: list[int]) -> SolveResult:
-    n = len(vertices)
+def _edges_by_vertex(n: int, masks: list[int]) -> list[list[int]]:
+    """For each vertex index, the edge masks that contain it."""
     edges_with: list[list[int]] = [[] for _ in range(n)]
     for m in masks:
         r = m
@@ -127,6 +109,12 @@ def _solve_brute(vertices: tuple[int, ...], masks: list[int]) -> SolveResult:
             bit = r & -r
             edges_with[bit.bit_length() - 1].append(m)
             r ^= bit
+    return edges_with
+
+
+def _solve_brute(vertices: tuple[int, ...], masks: list[int]) -> SolveResult:
+    n = len(vertices)
+    edges_with = _edges_by_vertex(n, masks)
     best_size = -1
     best_mask = 0
     nodes = 0
@@ -167,13 +155,7 @@ def _solve_bb(
 ) -> SolveResult:
     n = len(vertices)
     all_mask = (1 << n) - 1
-    edges_with: list[list[int]] = [[] for _ in range(n)]
-    for m in masks:
-        r = m
-        while r:
-            bit = r & -r
-            edges_with[bit.bit_length() - 1].append(m)
-            r ^= bit
+    edges_with = _edges_by_vertex(n, masks)
     best_mask = _greedy_seed(n, edges_with)
     best_size = best_mask.bit_count()
     deadline = None if budget is None else time.monotonic() + budget

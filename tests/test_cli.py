@@ -209,6 +209,28 @@ def test_periodic_fls_step_falsified_writes_instance(
     assert parse_instance(target.read_text()) == inst
 
 
+def test_experiment_fls_soak_prints_the_three_wave_summaries(capsys):
+    assert main(["experiment", "fls-soak", "--trials", "6", "--seed", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "density drop verified on 6 instances"
+    assert lines[1] == "translate inequality verified on 6 instances"
+    assert lines[2].startswith("periodic step outcomes: {")
+    assert len(lines) == 3
+
+
+def test_experiment_fls_soak_falsified_writes_instance(monkeypatch, tmp_path, capsys):
+    # splice a failing verifier in at the seam; the first wave's first
+    # instance (k = 2, mirrored) must then be written out and exit 4
+    monkeypatch.setattr("sumfree.cli.verify_density_drop", lambda *a, **kw: False)
+    target = tmp_path / "soak.json"
+    argv = ["experiment", "fls-soak", "--trials", "3", "--seed", "5",
+            "--falsified-out", str(target)]
+    assert main(argv) == 4
+    assert capsys.readouterr().out == f"FALSIFIED density drop, instance at {target}\n"
+    expected = random_drop_instance(2, random.Random(5), mirrored=True)
+    assert parse_instance(target.read_text()) == expected
+
+
 def test_measure_build_mu(capsys):
     code = main(
         ["measure", "build-mu", "--k", "2", "--Q", "2", "--steps", "2", "--provider", "uniform"]
