@@ -4,14 +4,17 @@ Every violating multiset (k summands from A plus their total, all in A)
 contributes its support set as a forbidden edge; a subset of A is
 k-sum-free exactly when it contains no edge in full.  Edges that contain
 another edge are dropped, since they can never be the binding constraint.
+Edges are bitmasks from the build onward; bit i stands for the i-th
+smallest element of A.
 
 Two solvers: a plain depth-first enumeration over subsets (``brute``),
 kept simple enough to trust as an oracle and guaranteeing the
 lexicographically smallest optimal witness, and a branch-and-bound
 (``bb``) that branches on the vertex lying in the most active edges and
-prunes with a greedy disjoint-edge bound.  ``bb`` honors a wall-clock
-budget: on expiry the best set found so far is returned as a certified
-lower bound rather than an optimum.
+prunes with a greedy disjoint-edge bound; its unit propagation takes one
+pass, because forcing a vertex out never creates a new unit.  ``bb``
+honors a wall-clock budget: on expiry the best set found so far is
+returned as a certified lower bound rather than an optimum.
 """
 
 from __future__ import annotations
@@ -29,26 +32,32 @@ DEFAULT_EDGE_CAP = 10**7
 BRUTE_SIZE_LIMIT = 30
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
+
+
 @dataclass(frozen=True)
 class ForbiddenHypergraph:
-    """Vertices plus the minimal supports of violating multisets."""
+    """Vertices plus the minimal supports of violating multisets, as bitmasks."""
 
     vertices: IntSet
-    edges: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...]
+
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        elements = self.vertices.elements
+        return tuple(tuple(elements[i] for i in _bits(m)) for m in self.masks)
 
     def is_independent(self, subset: IntSet) -> bool:
-        chosen = set(subset.elements)
-        return all(not chosen.issuperset(edge) for edge in self.edges)
-
-
-def _collect_supports(elements: tuple[int, ...], k: int, cap: int, supports: set) -> None:
-    for summands, total in _violations(elements, k, elements[-1]):
-        supports.add(frozenset((*summands, total)))
-        if len(supports) > cap:
-            raise ResourceLimitError(
-                f"violating-multiset supports exceed the edge cap {cap}",
-                required=len(supports),
-            )
+        members = set(subset.elements)
+        chosen = sum(1 << i for i, v in enumerate(self.vertices.elements) if v in members)
+        return all(m & chosen != m for m in self.masks)
 
 
 def build_hypergraph(
@@ -56,19 +65,26 @@ def build_hypergraph(
 ) -> ForbiddenHypergraph:
     """All minimal forbidden supports for k (or for every arity 2..k if strong)."""
     _require_arity(k)
-    supports: set = set()
-    if s:
-        arities = range(2, k + 1) if strong else (k,)
-        for ell in arities:
-            _collect_supports(s.elements, ell, edge_cap, supports)
-    # keep only inclusion-minimal supports, smallest first so subsets are seen early
-    ordered = sorted(supports, key=lambda e: (len(e), tuple(sorted(e))))
-    kept: list[frozenset] = []
-    for edge in ordered:
-        if not any(other <= edge for other in kept):
-            kept.append(edge)
-    edges = tuple(tuple(sorted(e)) for e in kept)
-    return ForbiddenHypergraph(s, edges)
+    bit = {v: 1 << i for i, v in enumerate(s.elements)}
+    supports: set[int] = set()
+    for ell in range(2, k + 1) if strong else (k,):
+        for summands, total in _violations(s.elements, ell, max(s.elements, default=0)):
+            mask = bit[total]
+            for a in summands:
+                mask |= bit[a]
+            supports.add(mask)
+            if len(supports) > edge_cap:
+                raise ResourceLimitError(
+                    f"violating-multiset supports exceed the edge cap {edge_cap}",
+                    required=len(supports),
+                )
+    # keep only inclusion-minimal supports, smallest first so subsets are seen early;
+    # bit order is value order, so this is the order of the sorted value tuples
+    kept: list[int] = []
+    for mask in sorted(supports, key=lambda m: (m.bit_count(), _bits(m))):
+        if not any(other & mask == other for other in kept):
+            kept.append(mask)
+    return ForbiddenHypergraph(s, tuple(kept))
 
 
 @dataclass(frozen=True)
@@ -85,34 +101,20 @@ class MaxFractionResult:
     solve: SolveResult
 
 
-def _edge_masks(vertices: tuple[int, ...], edges: tuple[tuple[int, ...], ...]) -> list[int]:
-    index = {v: i for i, v in enumerate(vertices)}
-    masks = []
-    for edge in edges:
-        mask = 0
-        for v in edge:
-            mask |= 1 << index[v]
-        masks.append(mask)
-    return masks
-
-
 def _mask_to_set(mask: int, vertices: tuple[int, ...]) -> IntSet:
-    return IntSet(tuple(v for i, v in enumerate(vertices) if mask >> i & 1))
+    return IntSet(tuple(vertices[i] for i in _bits(mask)))
 
 
-def _edges_by_vertex(n: int, masks: list[int]) -> list[list[int]]:
+def _edges_by_vertex(n: int, masks: tuple[int, ...]) -> list[list[int]]:
     """For each vertex index, the edge masks that contain it."""
     edges_with: list[list[int]] = [[] for _ in range(n)]
     for m in masks:
-        r = m
-        while r:
-            bit = r & -r
-            edges_with[bit.bit_length() - 1].append(m)
-            r ^= bit
+        for i in _bits(m):
+            edges_with[i].append(m)
     return edges_with
 
 
-def _solve_brute(vertices: tuple[int, ...], masks: list[int]) -> SolveResult:
+def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResult:
     n = len(vertices)
     edges_with = _edges_by_vertex(n, masks)
     best_size = -1
@@ -151,7 +153,7 @@ def _greedy_seed(n: int, edges_with: list[list[int]]) -> int:
 
 
 def _solve_bb(
-    vertices: tuple[int, ...], masks: list[int], budget: Optional[float]
+    vertices: tuple[int, ...], masks: tuple[int, ...], budget: Optional[float]
 ) -> SolveResult:
     n = len(vertices)
     all_mask = (1 << n) - 1
@@ -168,40 +170,30 @@ def _solve_bb(
             status = "timeout-lower-bound"
             break
         chosen, out = stack.pop()
-        # unit propagation: an active edge with one undecided vertex forces it out
-        infeasible = False
-        changed = True
-        while changed:
-            changed = False
-            for m in masks:
-                if m & out:
-                    continue
-                residual = m & ~chosen
-                if residual == 0:
-                    infeasible = True
-                    break
-                if residual & (residual - 1) == 0:
-                    out |= residual
-                    changed = True
-            if infeasible:
-                break
-        if infeasible:
-            continue
-        free = all_mask & ~chosen & ~out
+        # unit propagation: an active edge with one vertex outside `chosen` forces
+        # it out.  One pass suffices: units depend on `chosen` alone, and forcing
+        # a vertex out only switches off edges that have a vertex outside `chosen`.
+        # `out` never meets `chosen`, so a fully chosen edge stays active as a 0.
         residuals = [m & ~chosen for m in masks if not m & out]
-        if not residuals:
-            size = (chosen | free).bit_count()
-            if size > best_size:
-                best_size = size
-                best_mask = chosen | free
+        if 0 in residuals:
             continue
+        units = 0
+        for r in residuals:
+            if r & (r - 1) == 0:
+                units |= r
+        out |= units
+        residuals = [r for r in residuals if not r & units]
         used = 0
         matching = 0
         for r in residuals:
             if not r & used:
                 used |= r
                 matching += 1
-        if chosen.bit_count() + free.bit_count() - matching <= best_size:
+        if n - out.bit_count() - matching <= best_size:
+            continue
+        if not residuals:  # a leaf: the bound is met by taking every vertex not out
+            best_size = n - out.bit_count()
+            best_mask = all_mask & ~out
             continue
         degree: dict[int, int] = {}
         for r in residuals:
@@ -234,11 +226,10 @@ def max_k_sum_free(
             f"brute force is limited to {BRUTE_SIZE_LIMIT} elements, got {len(s)}"
         )
     graph = build_hypergraph(s, k, strong=strong, edge_cap=edge_cap)
-    masks = _edge_masks(s.elements, graph.edges)
     if algo == "brute":
-        result = _solve_brute(s.elements, masks)
+        result = _solve_brute(s.elements, graph.masks)
     else:
-        result = _solve_bb(s.elements, masks, budget)
+        result = _solve_bb(s.elements, graph.masks, budget)
     checker = is_strongly_k_sum_free if strong else is_k_sum_free
     if not checker(result.witness, k):
         raise FalsificationError("solver witness fails the sum-freeness predicate")

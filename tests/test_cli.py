@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import subprocess
 import sys
@@ -304,3 +305,27 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "2-sum-free: true" in proc.stdout
+
+
+def test_solve_max_timeout_prints_the_lower_bound(capsys, set_file):
+    path = set_file("a.txt", range(1, 61))
+    argv = ["solve", "max", "--k", "2", "--in", path, "--algo", "bb", "--timeout", "1e-6"]
+    assert main(argv) == 0
+    head, body = capsys.readouterr().out.split("\n", 1)
+    assert "status=timeout-lower-bound" in head
+    witness = parse_set_text(body)
+    assert head.startswith(f"size={len(witness)} ")
+
+
+@pytest.mark.parametrize(
+    "k, digest",
+    [
+        ("2", "237c19f0f835c47384149fcbd2dfbaabb5c070a521e2516738afc09b9d497450"),
+        ("3", "c33c1b4406e4113e019999f4b2066c595c1eb408e778fb5b0f352899a6203330"),
+    ],
+)
+def test_experiment_ratio_output_is_pinned(capsys, k, digest):
+    # includes the solver_nodes column, so it pins the bb node counts on F_1..F_3
+    assert main(["experiment", "ratio", "--k", k, "--m-max", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

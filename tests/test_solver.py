@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -13,6 +15,7 @@ from sumfree import (
     FolnerGrid,
     IntSet,
     InvalidParameterError,
+    ResourceLimitError,
     build_hypergraph,
     extract_dilate_exhaustive,
     generate,
@@ -21,6 +24,7 @@ from sumfree import (
     max_fraction,
     max_k_sum_free,
 )
+from sumfree.solver import BRUTE_SIZE_LIMIT
 
 
 def optimum_by_enumeration(elements, k, strong=False):
@@ -199,3 +203,57 @@ def test_max_fraction_tiny_grids():
     two = max_fraction(FolnerGrid.diagonal(2), 2)
     assert two.fraction == Fraction(1, 2)
     assert two.solve.witness.elements == (1, 3)
+
+
+def _pinned_corpus():
+    f3 = generate(FolnerGrid.diagonal(3))
+    cases = [(f3, 2, False), (f3, 3, False), (f3, 3, True), (generate(FolnerGrid(3, 4)), 2, False)]
+    rng = random.Random("solver-pin")
+    for i in range(60):
+        s = IntSet.of(rng.sample(range(1, 40 + 3 * i), 8 + i % 17))
+        cases.append((s, 2 + i % 3, i % 4 == 3))
+    return cases
+
+
+def test_solver_outputs_are_pinned():
+    # size, witness, node count and status of bb (and of brute up to 30
+    # elements); node counts reach the CLI's nodes= and the solver_nodes CSV
+    # column, so edge order, propagation and branching must all keep them
+    rows = []
+    for s, k, strong in _pinned_corpus():
+        for algo in ("bb", "brute"):
+            if algo == "brute" and len(s) > BRUTE_SIZE_LIMIT:
+                continue
+            r = max_k_sum_free(s, k, algo=algo, strong=strong)
+            rows.append((r.size, r.witness.elements, r.nodes, r.status))
+    assert len(rows) == 127
+    assert rows[0][0] == 14 and rows[0][2] == 195
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "9bfd8b346736e0dc3aed662e9f8f94a6fc0e0d4bbd6fbc2700d91e57eb7079e0"
+
+
+def test_edge_mask_examples():
+    h = build_hypergraph(IntSet.of([1, 2, 3]), 2)
+    assert h.masks == (0b011,)
+    h = build_hypergraph(IntSet.of([1, 2, 6]), 3)
+    assert h.masks == (0b110,)
+    assert build_hypergraph(IntSet.of([]), 2).masks == ()
+
+
+def test_edge_cap_stops_the_build():
+    s = IntSet.of(range(1, 13))
+    with pytest.raises(ResourceLimitError) as err:
+        build_hypergraph(s, 2, edge_cap=5)
+    assert err.value.required == 6
+    with pytest.raises(ResourceLimitError) as err:
+        max_k_sum_free(s, 2, edge_cap=5)
+    assert err.value.required == 6
+    assert build_hypergraph(s, 2, edge_cap=10**4).edges
+
+
+def test_independence_ignores_values_outside_the_vertices():
+    h = build_hypergraph(IntSet.of([1, 2, 3]), 2)
+    assert h.is_independent(IntSet.of([1, 3, 100]))
+    assert not h.is_independent(IntSet.of([1, 2, 100]))
+    assert h.is_independent(IntSet.of([50]))
+    assert h.is_independent(IntSet.of([]))
