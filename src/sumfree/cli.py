@@ -170,10 +170,8 @@ def _cmd_periodic_fls_step(args) -> int:
     eps = _parse_eps(args.eps)
     if args.schedule is not None:
         schedule = _parse_schedule(args.schedule)
-    elif args.auto_schedule is not None:
-        schedule = geometric_schedule(args.n0, Fraction(16 * args.k) / eps, args.auto_schedule)
     else:
-        raise InvalidParameterError("provide --schedule or --auto-schedule")
+        schedule = geometric_schedule(args.n0, Fraction(16 * args.k) / eps, args.k * args.n0)
     outcome = fls_step(s, args.k, args.n0, args.modulus, args.i, eps, schedule)
     if isinstance(outcome, PeriodicContainment):
         residues = ",".join(str(r) for r in sorted(outcome.hull.residues))
@@ -196,8 +194,6 @@ def _cmd_periodic_fls_step(args) -> int:
 
 
 def _cmd_measure_build_mu(args) -> int:
-    if args.provider != "uniform":
-        raise InvalidParameterError(f"unknown provider {args.provider!r}")
     measure = build_mu(args.steps, args.modulus, args.k, uniform_measure, n_start=args.start)
     sys.stdout.write(serialize_measure(measure))
     return 0
@@ -342,13 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     step.add_argument("--i", type=int, required=True)
     step.add_argument("--eps", required=True, help="exact rational, e.g. 1/6")
     step.add_argument("--n0", type=int, required=True)
-    step.add_argument("--schedule", default=None, help="comma-separated integers")
     step.add_argument(
-        "--auto-schedule",
-        dest="auto_schedule",
-        type=int,
+        "--schedule",
         default=None,
-        help="generate this many entries at the required growth ratio",
+        help="comma-separated integers; default: k*n0 entries at the ratio 16k/eps",
     )
     step.add_argument("--in", dest="infile", required=True)
     step.add_argument("--falsified-out", dest="falsified_out", default=DEFAULT_FALSIFIED_PATH)
@@ -360,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--k", type=int, required=True)
     mu.add_argument("--Q", dest="modulus", type=int, required=True)
     mu.add_argument("--steps", type=int, required=True)
-    mu.add_argument("--provider", default="uniform")
     mu.add_argument("--start", type=int, default=1)
     mu.set_defaults(handler=_cmd_measure_build_mu)
 

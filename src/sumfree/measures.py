@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import IntSet
+from .core import IntSet, _require_arity
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 
 DEFAULT_SUPPORT_CAP = 10**6
@@ -132,8 +132,7 @@ class NuSchedule:
             raise InvalidParameterError("block boundaries run past the scale sequence")
         if Fraction(self.eps) <= 0:
             raise InvalidParameterError(f"eps must be positive, got {self.eps}")
-        if self.k < 2:
-            raise InvalidParameterError(f"arity k must be >= 2, got {self.k}")
+        _require_arity(self.k)
 
     @property
     def t(self) -> int:
@@ -206,8 +205,7 @@ def build_mu(
         raise InvalidParameterError(f"step count must be >= 1, got {i_max!r}")
     if not isinstance(q, int) or q < 1:
         raise InvalidParameterError(f"scale factor must be a positive integer, got {q!r}")
-    if not isinstance(k, int) or k < 2:
-        raise InvalidParameterError(f"arity k must be >= 2, got {k!r}")
+    _require_arity(k)
     if not isinstance(n_start, int) or n_start < 1:
         raise InvalidParameterError(f"starting scale must be >= 1, got {n_start!r}")
 
@@ -234,8 +232,7 @@ def build_mu(
 
 def contraction_index(k: int, eps: Fraction) -> int:
     """Least i with (k/(k+1))**i <= 2*eps."""
-    if not isinstance(k, int) or k < 2:
-        raise InvalidParameterError(f"arity k must be >= 2, got {k!r}")
+    _require_arity(k)
     eps = Fraction(eps)
     if not 0 < eps < Fraction(1, 2):
         raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")

@@ -72,9 +72,7 @@ def periodic_hull(s: IntSet, n0: int, modulus: int) -> ResidueSet:
     """Residues modulo `modulus` hit by s within [1, n0]."""
     if n0 < 1:
         raise InvalidParameterError(f"horizon must be >= 1, got {n0}")
-    if modulus < 1:
-        raise InvalidParameterError(f"modulus must be >= 1, got {modulus}")
-    return ResidueSet(modulus, frozenset(a % modulus for a in s.upto(n0)))
+    return ResidueSet.of(modulus, s.upto(n0))
 
 
 def _iterated_residue_sums(r: ResidueSet, rounds: int) -> frozenset:
@@ -193,7 +191,7 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
     out = []
     cur = start
     for _ in range(count):
-        cur = math.ceil(cur * ratio)
+        cur = -(-cur * ratio.numerator // ratio.denominator)
         out.append(cur)
     return tuple(out)
 
@@ -229,12 +227,7 @@ class DensityDropInstance:
         mirrored orientation at a - j*step.
         """
         sign = 1 if self.orientation == "forward" else -1
-        members = set(self.elements.elements)
-        found = [
-            a for a in self.elements
-            if any(a + sign * j * self.ap_step in members for j in range(1, self.ap_length + 1))
-        ]
-        return IntSet.of(found)
+        return IntSet.of(_neighboured(self.elements, sign * self.ap_step, self.ap_length))
 
 
 def serialize_instance(instance: DensityDropInstance) -> str:
@@ -273,21 +266,47 @@ def parse_instance(text: str) -> DensityDropInstance:
         raise InvalidParameterError(f"malformed instance payload: {exc}") from None
 
 
-def _check_schedule(
-    schedule: Sequence[int], base: int, min_ratio: Fraction, label: str
-) -> None:
+def _check_schedule(schedule: Sequence[int], base: int, min_ratio: Fraction) -> None:
     if not schedule:
-        raise InvalidParameterError(f"{label}: schedule is empty")
+        raise InvalidParameterError("schedule: schedule is empty")
+    p, q = min_ratio.numerator, min_ratio.denominator
     prev = base
     for j, n in enumerate(schedule):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidParameterError(f"{label}: entry {j} is not a positive integer: {n!r}")
-        if Fraction(n) < min_ratio * prev:
+            raise InvalidParameterError(f"schedule: entry {j} is not a positive integer: {n!r}")
+        if n * q < p * prev:
             raise InvalidParameterError(
-                f"{label}: entry {j} = {n} grows by less than the required "
+                f"schedule: entry {j} = {n} grows by less than the required "
                 f"ratio {min_ratio} over {prev}"
             )
         prev = n
+
+
+def _require_progression(s: IntSet, start: int, step: int, length: int) -> None:
+    """Reject a start, step or length below 1, and any progression term outside s."""
+    if start < 1 or step < 1 or length < 1:
+        raise InvalidParameterError("progression start, step and length must be >= 1")
+    members = set(s.elements)
+    for j in range(length):
+        if start + j * step not in members:
+            raise InvalidParameterError(f"progression term {start + j * step} is not in the set")
+
+
+def _neighboured(s: IntSet, step: int, length: int) -> list[int]:
+    """Members a of s, ascending, with some a + j*step in s for j in 1..length."""
+    members = set(s.elements)
+    return [a for a in s if any(a + j * step in members for j in range(1, length + 1))]
+
+
+def _first_drop(
+    s: IntSet, schedule: Sequence[int], bound: Fraction
+) -> Optional[tuple[int, Fraction]]:
+    """1-based index and density of the first schedule entry with density <= bound."""
+    for index, n in enumerate(schedule, start=1):
+        value = density(s, n)
+        if value <= bound:
+            return index, value
+    return None
 
 
 def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
@@ -299,15 +318,13 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
     scan with no drop returns False, which callers must treat as a loud
     falsification.
     """
-    _require_arity(k)
     if instance.k != k:
         raise InvalidParameterError(
             f"instance was built for arity {instance.k}, checked with {k}"
         )
     if instance.n0 < 1:
         raise InvalidParameterError(f"n0 must be >= 1, got {instance.n0}")
-    if instance.ap_start < 1 or instance.ap_step < 1 or instance.ap_length < 1:
-        raise InvalidParameterError("progression start, step and length must be >= 1")
+    _require_progression(instance.elements, instance.ap_start, instance.ap_step, instance.ap_length)
     eps = Fraction(instance.eps)
     if eps <= 0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
@@ -318,11 +335,6 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
         raise InvalidParameterError(
             f"progression reaches {last}, beyond the horizon {instance.n0}"
         )
-    members = set(instance.elements.elements)
-    for j in range(instance.ap_length):
-        term = instance.ap_start + j * instance.ap_step
-        if term not in members:
-            raise InvalidParameterError(f"progression term {term} is not in the set")
     restricted = instance.elements.upto(instance.n0)
     if difference_witness(restricted, instance.difference, k) is None:
         raise InvalidParameterError(
@@ -334,12 +346,11 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
             f"difference {instance.difference} is not congruent to the start "
             f"{instance.ap_start} modulo the step {instance.ap_step}"
         )
-    _check_schedule(instance.schedule, instance.n0, 1 / eps, "schedule")
+    _check_schedule(instance.schedule, instance.n0, 1 / eps)
     bound = _drop_expression(instance.ap_length, k) + 4 * k * eps
     limit = k * instance.n0
-    for n in instance.schedule[:limit]:
-        if density(instance.elements, n) <= bound:
-            return True
+    if _first_drop(instance.elements, instance.schedule[:limit], bound) is not None:
+        return True
     if len(instance.schedule) < limit:
         raise InvalidParameterError(
             f"schedule has {len(instance.schedule)} entries but the conclusion "
@@ -359,23 +370,13 @@ def check_translate_inequality(
     preconditions (k-sum-free set containing the progression
     x, x+m, ..., x+(i-1)m) this provably holds; False is a falsification.
     """
-    _require_arity(k)
     if n < 1:
         raise InvalidParameterError(f"count horizon must be >= 1, got {n}")
-    if x < 1 or m < 1 or i < 1:
-        raise InvalidParameterError("progression start, step and length must be >= 1")
+    _require_progression(s, x, m, i)
     if not is_k_sum_free(s, k):
         raise InvalidParameterError("set is not k-sum-free on its data")
-    members = set(s.elements)
-    for j in range(i):
-        if x + j * m not in members:
-            raise InvalidParameterError(f"progression term {x + j * m} is not in the set")
     a_count = bisect_right(s.elements, n)
-    b_count = sum(
-        1
-        for a in s.elements
-        if a <= n and any(a + j * m in members for j in range(1, i + 1))
-    )
+    b_count = bisect_right(_neighboured(s, m, i), n)
     return (i + 1) * a_count - (i - 1) * b_count <= n + (k - 1) * x + (i - 1) * m
 
 
@@ -450,7 +451,6 @@ def fls_step(
     ap_length: int,
     eps: Fraction,
     schedule: Sequence[int],
-    horizon: Optional[int] = None,
 ) -> StepOutcome:
     """One containment-or-drop step for a dense k-sum-free set.
 
@@ -461,19 +461,8 @@ def fls_step(
     guarantee a progression; Falsified means every hypothesis held and
     the scan still failed, which is a bug or a counterexample and ships
     with a replayable instance.
-
-    An explicit horizon asserts the set is only known on [1, horizon];
-    it must then cover the whole schedule.  Omitting it treats the set
-    as exact.
     """
-    _require_arity(k)
-    if n0 < 1:
-        raise InvalidParameterError(f"n0 must be >= 1, got {n0}")
-    if modulus < 1:
-        raise InvalidParameterError(f"modulus must be >= 1, got {modulus}")
     eps = Fraction(eps)
-    if eps <= 0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
     needed = min_ap_length(k, eps)
     if ap_length < needed:
         raise InvalidParameterError(
@@ -493,17 +482,7 @@ def fls_step(
         raise InvalidParameterError(
             f"schedule has {len(schedule)} entries, needs at least k*n0 = {k * n0}"
         )
-    _check_schedule(schedule, n0, Fraction(16 * k) / eps, "schedule")
-    if horizon is not None:
-        if horizon < s.largest():
-            raise InvalidParameterError(
-                f"declared horizon {horizon} is below the largest element {s.largest()}"
-            )
-        if horizon < schedule[-1]:
-            raise InvalidParameterError(
-                f"declared horizon {horizon} does not cover the schedule end "
-                f"{schedule[-1]}"
-            )
+    _check_schedule(schedule, n0, Fraction(16 * k) / eps)
     hull = periodic_hull(s, n0, modulus)
     if is_residue_k_sum_free(hull, k):
         return PeriodicContainment(hull)
@@ -518,10 +497,8 @@ def fls_step(
     x, m = ap
     d = _derive_difference(restricted, hull, x, k)
     drop_bound = Fraction(1, k + 1) + eps / 2
-    for index, n in enumerate(schedule[: k * n0], start=1):
-        value = density(s, n)
-        if value <= drop_bound:
-            return DensityDrop(index, value)
+    if (hit := _first_drop(s, schedule[: k * n0], drop_bound)) is not None:
+        return DensityDrop(*hit)
     instance = DensityDropInstance(
         elements=s,
         n0=n0,

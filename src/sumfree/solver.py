@@ -79,11 +79,15 @@ def build_hypergraph(
                     required=len(supports),
                 )
     # keep only inclusion-minimal supports, smallest first so subsets are seen early;
-    # bit order is value order, so this is the order of the sorted value tuples
+    # bit order is value order, so this is the order of the sorted value tuples.
+    # Kept edges are filed under their lowest bit: a kept subset of mask has its
+    # lowest bit inside mask, so only the lists filed under mask's bits are tested.
     kept: list[int] = []
+    by_lowest: dict[int, list[int]] = {}
     for mask in sorted(supports, key=lambda m: (m.bit_count(), _bits(m))):
-        if not any(other & mask == other for other in kept):
+        if not any(o & mask == o for i in _bits(mask) for o in by_lowest.get(i, ())):
             kept.append(mask)
+            by_lowest.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
     return ForbiddenHypergraph(s, tuple(kept))
 
 

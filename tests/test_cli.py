@@ -152,7 +152,7 @@ def test_periodic_fls_step_containment(capsys, set_file):
     code = main(
         [
             "periodic", "fls-step", "--k", "2", "--Q", "2", "--i", "3",
-            "--eps", "1/6", "--n0", "100", "--auto-schedule", "200", "--in", path,
+            "--eps", "1/6", "--n0", "100", "--in", path,
         ]
     )
     assert code == 0
@@ -166,7 +166,7 @@ def test_periodic_fls_step_density_drop(capsys, set_file):
     code = main(
         [
             "periodic", "fls-step", "--k", "2", "--Q", "7", "--i", "3",
-            "--eps", "1/6", "--n0", "100", "--auto-schedule", "200", "--in", path,
+            "--eps", "1/6", "--n0", "100", "--in", path,
         ]
     )
     assert code == 0
@@ -179,7 +179,7 @@ def test_periodic_fls_step_bad_eps_is_parameter_error(capsys, set_file):
     code = main(
         [
             "periodic", "fls-step", "--k", "2", "--Q", "2", "--i", "3",
-            "--eps", "0/1", "--n0", "100", "--auto-schedule", "200", "--in", path,
+            "--eps", "0/1", "--n0", "100", "--in", path,
         ]
     )
     assert code == 2
@@ -200,7 +200,7 @@ def test_periodic_fls_step_falsified_writes_instance(
     code = main(
         [
             "periodic", "fls-step", "--k", "2", "--Q", "2", "--i", "3",
-            "--eps", "1/6", "--n0", "100", "--auto-schedule", "200",
+            "--eps", "1/6", "--n0", "100",
             "--in", path, "--falsified-out", str(target),
         ]
     )
@@ -234,18 +234,11 @@ def test_experiment_fls_soak_falsified_writes_instance(monkeypatch, tmp_path, ca
 
 def test_measure_build_mu(capsys):
     code = main(
-        ["measure", "build-mu", "--k", "2", "--Q", "2", "--steps", "2", "--provider", "uniform"]
+        ["measure", "build-mu", "--k", "2", "--Q", "2", "--steps", "2"]
     )
     assert code == 0
     got = parse_measure(capsys.readouterr().out)
     assert got == build_mu(2, 2, 2, uniform_measure, n_start=1)
-
-
-def test_measure_build_mu_unknown_provider(capsys):
-    code = main(
-        ["measure", "build-mu", "--k", "2", "--Q", "2", "--steps", "2", "--provider", "zeta"]
-    )
-    assert code == 2
 
 
 def test_experiment_defect_csv(capsys):

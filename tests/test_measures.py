@@ -120,6 +120,20 @@ def test_evaluate_is_linear_in_the_measure(values, rng):
     assert evaluate(blended, s) == c * evaluate(mu, s) + (1 - c) * evaluate(nu, s)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda k: NuSchedule((5, 10), (0, 1), Fraction(1, 4), k),
+        lambda k: build_mu(2, 2, k, uniform_measure),
+        lambda k: contraction_index(k, Fraction(1, 4)),
+    ],
+    ids=["NuSchedule", "build_mu", "contraction_index"],
+)
+def test_non_integer_arity_rejected(build):
+    with pytest.raises(InvalidParameterError, match="integer"):
+        build(2.5)
+
+
 def test_nu_schedule_validation():
     with pytest.raises(InvalidParameterError):
         NuSchedule((), (0,), Fraction(1, 4), 2)

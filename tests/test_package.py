@@ -8,7 +8,8 @@ import types
 from pathlib import Path
 
 import sumfree
-from sumfree.cli import build_parser
+from sumfree import IntSet, write_set_file
+from sumfree.cli import build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -40,3 +41,12 @@ def test_readme_commands_parse():
         # argparse exits on an unknown option or a missing required one
         args = parser.parse_args(argv)
         assert callable(args.handler), command
+
+
+def test_readme_fls_step_example_runs(tmp_path, capsys):
+    (command,) = [c for c in readme_commands() if " fls-step " in c]
+    path = tmp_path / "odds.txt"
+    write_set_file(str(path), IntSet.of(range(1, 1000, 2)))
+    argv = [str(path) if arg == "A.txt" else arg for arg in shlex.split(command)[1:]]
+    assert main(argv) == 0
+    assert "outcome=periodic-containment" in capsys.readouterr().out

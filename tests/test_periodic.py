@@ -340,9 +340,6 @@ def test_fls_step_rejects_bad_hypotheses():
     with pytest.raises(InvalidParameterError):
         # progression length below what this eps needs
         fls_step(odds, k, n0, q, 2, eps, schedule)
-    with pytest.raises(InvalidParameterError):
-        # declared data horizon falls short of the schedule
-        fls_step(odds, k, n0, q, i, eps, schedule, horizon=10**6)
 
 
 def test_drop_instance_orientation_and_b_set():
@@ -354,13 +351,14 @@ def test_drop_instance_orientation_and_b_set():
     )
     assert forward.orientation == "forward"
     expected = {a for a in odds.upto(forward.n0 * 2 * 40) if any(a + j * 2 in odds for j in (1, 2, 3))}
-    b = forward.b_set()
-    assert set(b.elements) <= set(odds.elements)
+    assert set(forward.b_set().elements) == expected
     mirrored = DensityDropInstance(
         elements=odds, n0=40, ap_start=21, ap_step=2, ap_length=3,
         difference=95, eps=Fraction(1, 6), schedule=schedule, k=2,
     )
     assert mirrored.orientation == "mirrored"
+    # every odd member but 1 has an odd member two below it
+    assert set(mirrored.b_set().elements) == set(range(3, 200, 2))
 
 
 def test_instance_serialization_round_trip():
