@@ -28,7 +28,6 @@ from .dilation import (
     extract_dilate_exhaustive,
     extract_dilate_folner,
     extract_dilate_measure,
-    extract_dilate_sampled,
     interval_is_k_sum_free,
 )
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError

@@ -21,11 +21,7 @@ from .core import (
     read_set_file,
     write_set_file,
 )
-from .dilation import (
-    extract_dilate_exhaustive,
-    extract_dilate_folner,
-    extract_dilate_sampled,
-)
+from .dilation import extract_dilate_exhaustive, extract_dilate_folner
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 from .experiments import (
     decimal_string,
@@ -44,7 +40,6 @@ from .periodic import (
     PeriodicContainment,
     check_translate_inequality,
     fls_step,
-    geometric_schedule,
     min_ap_length,
     periodic_hull,
     serialize_instance,
@@ -76,21 +71,19 @@ def _cmd_check(args) -> int:
     s = read_set_file(args.infile)
     if args.strong:
         ok = is_strongly_k_sum_free(s, args.k)
-        print(f"strongly-{args.k}-sum-free: {'true' if ok else 'false'}")
-        if not ok:
-            for ell in range(2, args.k + 1):
-                witness = find_violation(s, ell)
-                if witness is not None:
-                    terms = "+".join(str(t) for t in witness.summands)
-                    print(f"violation: {terms} = {witness.total} (arity {ell})")
-                    break
+        label, arities = f"strongly-{args.k}", range(2, args.k + 1)
     else:
         ok = is_k_sum_free(s, args.k)
-        print(f"{args.k}-sum-free: {'true' if ok else 'false'}")
-        if not ok:
-            witness = find_violation(s, args.k)
-            terms = "+".join(str(t) for t in witness.summands)
-            print(f"violation: {terms} = {witness.total}")
+        label, arities = str(args.k), (args.k,)
+    print(f"{label}-sum-free: {'true' if ok else 'false'}")
+    if not ok:
+        for ell in arities:
+            witness = find_violation(s, ell)
+            if witness is not None:
+                terms = "+".join(str(t) for t in witness.summands)
+                arity = f" (arity {ell})" if args.strong else ""
+                print(f"violation: {terms} = {witness.total}{arity}")
+                break
     return 0
 
 
@@ -105,11 +98,7 @@ def _cmd_solve_max(args) -> int:
 
 
 def _cmd_extract_erdos(args) -> int:
-    s = read_set_file(args.infile)
-    if args.samples is not None:
-        result = extract_dilate_sampled(s, args.k, samples=args.samples, seed=args.seed)
-    else:
-        result = extract_dilate_exhaustive(s, args.k)
+    result = extract_dilate_exhaustive(read_set_file(args.infile), args.k)
     dilator = Fraction(result.dilator)
     print(f"dilator={rational_string(dilator)}")
     print(f"score={result.score}")
@@ -168,10 +157,7 @@ def _cmd_periodic_hull(args) -> int:
 def _cmd_periodic_fls_step(args) -> int:
     s = read_set_file(args.infile)
     eps = _parse_eps(args.eps)
-    if args.schedule is not None:
-        schedule = _parse_schedule(args.schedule)
-    else:
-        schedule = geometric_schedule(args.n0, Fraction(16 * args.k) / eps, args.k * args.n0)
+    schedule = None if args.schedule is None else _parse_schedule(args.schedule)
     outcome = fls_step(s, args.k, args.n0, args.modulus, args.i, eps, schedule)
     if isinstance(outcome, PeriodicContainment):
         residues = ",".join(str(r) for r in sorted(outcome.hull.residues))
@@ -235,9 +221,7 @@ def _cmd_experiment_fls_soak(args) -> int:
         eps = Fraction(1, rng.randrange(8, 30))
         if s.upto(n0) and len(s.upto(n0)) * Fraction(1, n0) >= Fraction(1, k + 1) + eps:
             q = rng.randrange(1, 9)
-            i = min_ap_length(k, eps)
-            schedule = geometric_schedule(n0, Fraction(16 * k) / eps, k * n0)
-            out = fls_step(s, k, n0, q, i, eps, schedule)
+            out = fls_step(s, k, n0, q, min_ap_length(k, eps), eps)
             outcomes[out.tag] = outcomes.get(out.tag, 0) + 1
             if isinstance(out, Falsified):
                 _write_instance(args.falsified_out, out.instance)
@@ -301,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     erdos = extract_sub.add_parser("erdos", help="arc-slice extraction over [0,1)")
     erdos.add_argument("--k", type=int, required=True)
     erdos.add_argument("--in", dest="infile", required=True)
-    erdos.add_argument("--samples", type=int, default=None)
-    erdos.add_argument("--seed", type=int, default=0)
     erdos.set_defaults(handler=_cmd_extract_erdos)
     folner = extract_sub.add_parser("folner", help="grid-dilator extraction")
     folner.add_argument("--k", type=int, required=True)

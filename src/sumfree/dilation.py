@@ -6,7 +6,7 @@ For a real x, the slice A_x = {a in A : frac(a*x) in S} is therefore a
 k-sum-free subset of A, and averaging over x shows E|A_x| = |A|/(k+1),
 so some dilator x achieves at least the ceiling of that.
 
-Three ways to pick x:
+Two ways to pick x:
 
 * ``sweep``    - x -> |A_x| is piecewise constant with breakpoints
   (e + j)/a over a in A, e an arc endpoint, 0 <= j < a.  An event sweep
@@ -22,8 +22,6 @@ Three ways to pick x:
   integers over dyadic points c/2^d and needs fewer than
   2*bit_length(p*max(A)^2) + 2 halvings (see ``_descend``), each
   O(|A|) integer operations, so the guarantee holds at any element size.
-* ``sampled``  - seeded random dilators, for quick exploration; no
-  optimality claim, but every slice is still verified k-sum-free.
 
 There are also finite averaging variants: over a multiplicative grid F
 with a designated k-sum-free S inside it, and the measure-weighted form of
@@ -36,7 +34,6 @@ input.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -58,12 +55,6 @@ class OpenInterval:
     def __post_init__(self) -> None:
         if not (0 <= self.lo < self.hi <= 1):
             raise InvalidParameterError(f"need 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
-
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo < value < self.hi
 
 
 def erdos_interval(k: int) -> OpenInterval:
@@ -226,16 +217,14 @@ def _descend(elements: tuple[int, ...], k: int) -> Fraction:
     raise FalsificationError("expectation descent failed to localize a constancy region")
 
 
-def _finalize_circle_result(
-    s: IntSet, k: int, dilator: Fraction, method: str, require_guarantee: bool
-) -> ExtractionResult:
+def _finalize_circle_result(s: IntSet, k: int, dilator: Fraction, method: str) -> ExtractionResult:
     subset = IntSet(tuple(_slice_members(s.elements, dilator, k)))
     if not is_k_sum_free(subset, k):
         raise FalsificationError(
             f"arc slice at {dilator} is not {k}-sum-free; this should be impossible"
         )
     score = len(subset)
-    if require_guarantee and score * (k + 1) < len(s):
+    if score * (k + 1) < len(s):
         raise FalsificationError(
             f"extraction score {score} fell below |A|/(k+1) = {len(s)}/{k + 1}"
         )
@@ -269,33 +258,13 @@ def extract_dilate_exhaustive(
                 f"sweep needs {required} breakpoints, over the cap of {sweep_cap}", required
             )
         count, mid = _sweep(s.elements, k)
-        result = _finalize_circle_result(s, k, mid, "sweep", require_guarantee=True)
+        result = _finalize_circle_result(s, k, mid, "sweep")
         if result.score != count:
             raise FalsificationError("sweep maximizer does not reproduce its count")
         return result
     if method == "descent":
-        return _finalize_circle_result(
-            s, k, _descend(s.elements, k), "descent", require_guarantee=True
-        )
+        return _finalize_circle_result(s, k, _descend(s.elements, k), "descent")
     raise InvalidParameterError(f"unknown extraction method {method!r}")
-
-
-def extract_dilate_sampled(s: IntSet, k: int, samples: int, seed: int) -> ExtractionResult:
-    """Best slice over seeded random dilators; no optimality guarantee."""
-    _require_arity(k)
-    if not s:
-        raise InvalidParameterError("cannot extract from the empty set")
-    if samples < 1:
-        raise InvalidParameterError(f"need at least one sample, got {samples}")
-    rng = random.Random(seed)
-    best: Optional[tuple[int, Fraction]] = None
-    for _ in range(samples):
-        x = Fraction(rng.getrandbits(53), 1 << 53)
-        count = len(_slice_members(s.elements, x, k))
-        if best is None or count > best[0]:
-            best = (count, x)
-    assert best is not None
-    return _finalize_circle_result(s, k, best[1], "sampled", require_guarantee=False)
 
 
 def extract_dilate_folner(s: IntSet, f: IntSet, inner: IntSet, k: int) -> ExtractionResult:

@@ -14,7 +14,7 @@ class InvalidParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A configurable cap (enumeration size, edge count, time budget) was hit.
+    """A cap (enumeration size, edge count, schedule size, time budget) was hit.
 
     ``required`` carries the cap value that would have been needed, when known.
     """

@@ -26,14 +26,14 @@ def rational_string(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def decimal_string(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal by exact long division, truncated."""
+def decimal_string(value: Fraction) -> str:
+    """Fixed-point decimal to six places by exact long division, truncated."""
     value = Fraction(value)
     sign = "-" if value < 0 else ""
     value = abs(value)
     whole, rem = divmod(value.numerator, value.denominator)
-    digits = rem * 10**places // value.denominator
-    return f"{sign}{whole}.{digits:0{places}d}"
+    digits = rem * 10**6 // value.denominator
+    return f"{sign}{whole}.{digits:06d}"
 
 
 def run_ratio_experiment(

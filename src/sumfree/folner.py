@@ -108,18 +108,10 @@ def contains(grid: FolnerGrid, n: int) -> Optional[tuple[int, ...]]:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidParameterError(f"membership is defined for integers >= 1, got {n!r}")
-    exponents = []
-    for p in grid.primes:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-            if e >= grid.exponent_bound:
-                return None
-        exponents.append(e)
-    if n != 1:
+    exponents = _factor_over(grid.primes, n)
+    if exponents is None or any(e >= grid.exponent_bound for e in exponents.values()):
         return None
-    return tuple(exponents)
+    return tuple(exponents.values())
 
 
 def _factor_over(primes: tuple[int, ...], a: int) -> Optional[dict]:
@@ -154,24 +146,27 @@ def defect_closed_form(grid: FolnerGrid, a: int) -> Fraction:
     return 2 * (1 - Fraction(surviving, grid.size()))
 
 
+def _injective_defect(members: set, a: int) -> Fraction:
+    """|aF △ F| / |F| = 2*(|F| - |aF ∩ F|) / |F|, as x -> a*x is injective."""
+    shared = sum(1 for x in members if a * x in members)
+    return Fraction(2 * (len(members) - shared), len(members))
+
+
 def defect(
     grid: FolnerGrid, a: int, enumeration_cap: int = DEFAULT_DEFECT_ENUMERATION_CAP
 ) -> Fraction:
     """Exact dilation defect |aF △ F| / |F|.
 
-    Grids small enough to enumerate are measured directly: multiplying by a
-    is injective, so |aF △ F| = 2*(|F| - |aF ∩ F|), and the intersection is
-    counted by membership in the set of grid elements.  That keeps this
-    route independent of ``defect_closed_form``, which larger grids return.
+    Grids small enough to enumerate are measured directly by
+    ``_injective_defect``, which counts |aF ∩ F| by membership in the set of
+    grid elements.  That keeps this route independent of
+    ``defect_closed_form``, which larger grids return.
     """
     if not isinstance(a, int) or a < 1:
         raise InvalidParameterError(f"dilation factor must be a positive integer, got {a!r}")
-    size = grid.size()
-    if size > enumeration_cap:
+    if grid.size() > enumeration_cap:
         return defect_closed_form(grid, a)
-    members = set(_products(grid))
-    shared = sum(1 for x in members if a * x in members)
-    return Fraction(2 * (size - shared), size)
+    return _injective_defect(set(_products(grid)), a)
 
 
 def set_dilation_defect(f: IntSet, a: int) -> Fraction:
@@ -180,6 +175,4 @@ def set_dilation_defect(f: IntSet, a: int) -> Fraction:
         raise InvalidParameterError("defect of the empty set is undefined")
     if not isinstance(a, int) or a < 1:
         raise InvalidParameterError(f"dilation factor must be a positive integer, got {a!r}")
-    members = set(f.elements)
-    dilated = {a * x for x in f.elements}
-    return Fraction(len(members.symmetric_difference(dilated)), len(f))
+    return _injective_defect(set(f.elements), a)

@@ -16,6 +16,9 @@ from .core import IntSet, _require_arity, k_difference_set
 from .errors import InvalidParameterError
 from .periodic import DensityDropInstance, _progressions, geometric_schedule
 
+DROP_ATTEMPTS = 400
+INEQUALITY_ATTEMPTS = 200
+
 
 def random_int_set(rng: random.Random, size: int, magnitude: int) -> IntSet:
     """size distinct integers drawn uniformly from [1, magnitude]."""
@@ -97,9 +100,7 @@ def find_progressions(
     return list(_progressions(s, n0, ap_length, range(1, max_step + 1)))
 
 
-def random_drop_instance(
-    k: int, rng: random.Random, mirrored: bool = False, max_attempts: int = 400
-) -> DensityDropInstance:
+def random_drop_instance(k: int, rng: random.Random, mirrored: bool = False) -> DensityDropInstance:
     """A hypothesis-satisfying density-drop instance with the requested orientation.
 
     Grows a thinned k-sum-free set, locates a progression inside the
@@ -108,7 +109,7 @@ def random_drop_instance(
     16k/eps growth ratio so every ratio hypothesis is met with room.
     """
     _require_arity(k)
-    for _ in range(max_attempts):
+    for _ in range(DROP_ATTEMPTS):
         horizon = rng.randrange(300, 700)
         prob = rng.uniform(0.25, 0.7)
         s = grow_k_sum_free(k, horizon, rng, prob)
@@ -145,14 +146,10 @@ def random_drop_instance(
             schedule=schedule,
             k=k,
         )
-    raise InvalidParameterError(
-        f"no drop instance found in {max_attempts} attempts; widen the budget"
-    )
+    raise InvalidParameterError(f"no drop instance found in {DROP_ATTEMPTS} attempts")
 
 
-def random_inequality_case(
-    k: int, rng: random.Random, max_attempts: int = 200
-) -> tuple[IntSet, int, int, int, int]:
+def random_inequality_case(k: int, rng: random.Random) -> tuple[IntSet, int, int, int, int]:
     """A k-sum-free set with a progression, for the translate counting bound.
 
     Returns (set, count horizon n, start x, step m, length i).  When the
@@ -160,7 +157,7 @@ def random_inequality_case(
     enough that its terms are jointly k-sum-free by size alone.
     """
     _require_arity(k)
-    for _ in range(max_attempts):
+    for _ in range(INEQUALITY_ATTEMPTS):
         horizon = rng.randrange(200, 600)
         prob = rng.uniform(0.3, 0.8)
         i = rng.randrange(1, 6)
@@ -185,6 +182,4 @@ def random_inequality_case(
                 s = grow_k_sum_free(k, horizon, rng, prob, seed_elements=terms)
         n = rng.randrange(horizon // 2, horizon + 50)
         return (s, n, x, m, i)
-    raise InvalidParameterError(
-        f"no inequality case found in {max_attempts} attempts; widen the budget"
-    )
+    raise InvalidParameterError(f"no inequality case found in {INEQUALITY_ATTEMPTS} attempts")

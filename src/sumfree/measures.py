@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 from .core import IntSet, _require_arity
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 
-DEFAULT_SUPPORT_CAP = 10**6
+SUPPORT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -153,20 +153,16 @@ class NuSchedule:
         return found
 
 
-def build_nu(
-    schedule: NuSchedule,
-    strict: bool = False,
-    support_cap: int = DEFAULT_SUPPORT_CAP,
-) -> RationalMeasure:
+def build_nu(schedule: NuSchedule, strict: bool = False) -> RationalMeasure:
     """Average of per-block averages of uniform measures over the schedule."""
     if strict:
         violations = schedule.strength_violations()
         if violations:
             raise InvalidParameterError(f"schedule violates growth condition: {violations[0]}")
     top_scale = schedule.n_sequence[schedule.block_ends[-1]]
-    if top_scale > support_cap:
+    if top_scale > SUPPORT_CAP:
         raise ResourceLimitError(
-            f"largest scale {top_scale} exceeds the support cap {support_cap}",
+            f"largest scale {top_scale} exceeds the support cap {SUPPORT_CAP}",
             required=top_scale,
         )
     t = schedule.t

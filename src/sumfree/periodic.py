@@ -21,7 +21,10 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import IntSet, _require_arity, difference_witness, is_k_sum_free
-from .errors import FalsificationError, InvalidParameterError
+from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
+
+# bound on the bits of all entries of one geometric schedule (about 12 MB)
+SCHEDULE_BIT_CAP = 10**8
 
 
 def density(s: IntSet, n: int) -> Fraction:
@@ -180,7 +183,12 @@ def upper_density_on_multiples_periodic(r: ResidueSet) -> Fraction:
 
 
 def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ...]:
-    """count integers growing from start by at least the given ratio each step."""
+    """count integers growing from start by at least the given ratio each step.
+
+    Entry j has at most bit_length(start) + j*bit_length(ceil(ratio)) bits, so
+    a schedule whose summed bound exceeds SCHEDULE_BIT_CAP is refused with
+    ResourceLimitError before any entry is built.
+    """
     if start < 1:
         raise InvalidParameterError(f"schedule start must be >= 1, got {start}")
     ratio = Fraction(ratio)
@@ -188,6 +196,12 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
         raise InvalidParameterError(f"schedule ratio must exceed 1, got {ratio}")
     if count < 0:
         raise InvalidParameterError(f"schedule length must be >= 0, got {count}")
+    step_bits = (-(-ratio.numerator // ratio.denominator)).bit_length()
+    required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
+    if required > SCHEDULE_BIT_CAP:
+        raise ResourceLimitError(
+            f"schedule needs up to {required} bits, over the cap of {SCHEDULE_BIT_CAP}", required
+        )
     out = []
     cur = start
     for _ in range(count):
@@ -450,7 +464,7 @@ def fls_step(
     modulus: int,
     ap_length: int,
     eps: Fraction,
-    schedule: Sequence[int],
+    schedule: Optional[Sequence[int]] = None,
 ) -> StepOutcome:
     """One containment-or-drop step for a dense k-sum-free set.
 
@@ -460,7 +474,8 @@ def fls_step(
     the supplied (modulus, ap_length, n0) sat below the sizes that would
     guarantee a progression; Falsified means every hypothesis held and
     the scan still failed, which is a bug or a counterexample and ships
-    with a replayable instance.
+    with a replayable instance.  Without a schedule the step scans
+    ``geometric_schedule(n0, 16k/eps, k*n0)``.
     """
     eps = Fraction(eps)
     needed = min_ap_length(k, eps)
@@ -469,6 +484,8 @@ def fls_step(
             f"progression length {ap_length} is below the minimum {needed} "
             f"required for the drop bound at eps {eps}"
         )
+    ratio = Fraction(16 * k) / eps
+    schedule = tuple(geometric_schedule(n0, ratio, k * n0) if schedule is None else schedule)
     if not is_k_sum_free(s, k):
         raise InvalidParameterError("input set is not k-sum-free on its data")
     threshold = Fraction(1, k + 1) + eps
@@ -477,12 +494,11 @@ def fls_step(
         raise InvalidParameterError(
             f"density at {n0} is {have}, below the required {threshold}"
         )
-    schedule = tuple(schedule)
     if len(schedule) < k * n0:
         raise InvalidParameterError(
             f"schedule has {len(schedule)} entries, needs at least k*n0 = {k * n0}"
         )
-    _check_schedule(schedule, n0, Fraction(16 * k) / eps)
+    _check_schedule(schedule, n0, ratio)
     hull = periodic_hull(s, n0, modulus)
     if is_residue_k_sum_free(hull, k):
         return PeriodicContainment(hull)

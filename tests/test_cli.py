@@ -59,6 +59,23 @@ def test_check_strong(capsys, set_file):
     assert "(arity 2)" in out
 
 
+@pytest.mark.parametrize(
+    "values, argv, expected",
+    [
+        (
+            [1, 3],
+            ["--k", "3", "--strong"],
+            "strongly-3-sum-free: false\nviolation: 1+1+1 = 3 (arity 3)\n",
+        ),
+        ([1, 2], ["--k", "2"], "2-sum-free: false\nviolation: 1+1 = 2\n"),
+        ([1, 3], ["--k", "2", "--strong"], "strongly-2-sum-free: true\n"),
+    ],
+)
+def test_check_output_is_pinned(capsys, set_file, values, argv, expected):
+    assert main(["check", *argv, "--in", set_file("a.txt", values)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_solve_max(capsys, set_file):
     path = set_file("a.txt", range(1, 11))
     assert main(["solve", "max", "--k", "2", "--in", path, "--algo", "brute"]) == 0
@@ -99,16 +116,6 @@ def test_extract_erdos_sweep_over_its_cap_exits_three(monkeypatch, capsys, set_f
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "resource limit: sweep needs 122 breakpoints" in captured.err
-
-
-def test_extract_erdos_sampled(capsys, set_file):
-    path = set_file("a.txt", range(1, 30))
-    code = main(
-        ["extract", "erdos", "--k", "2", "--in", path, "--samples", "200", "--seed", "9"]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "method=sampled" in out
 
 
 def test_extract_folner(capsys, set_file):
@@ -184,6 +191,21 @@ def test_periodic_fls_step_bad_eps_is_parameter_error(capsys, set_file):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_periodic_fls_step_over_the_schedule_cap_exits_3(capsys, set_file):
+    # dense up to n0, so only the default schedule's size can stop the step
+    path = set_file("odds.txt", range(1, 200000, 2))
+    code = main(
+        [
+            "periodic", "fls-step", "--k", "2", "--Q", "2", "--i", "3",
+            "--eps", "1/6", "--n0", "100000", "--in", path,
+        ]
+    )
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resource limit: schedule needs up to" in captured.err
 
 
 def test_periodic_fls_step_falsified_writes_instance(

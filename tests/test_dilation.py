@@ -21,7 +21,6 @@ from sumfree import (
     extract_dilate_exhaustive,
     extract_dilate_folner,
     extract_dilate_measure,
-    extract_dilate_sampled,
     generate,
     interval_is_k_sum_free,
     is_k_sum_free,
@@ -160,16 +159,6 @@ def test_dilation_covariance_of_score(values, k, c):
         extract_dilate_exhaustive(s.dilate(c), k, method="sweep").score
         == extract_dilate_exhaustive(s, k, method="sweep").score
     )
-
-
-def test_sampled_mode_is_reproducible_and_dominated():
-    s = IntSet.of(range(1, 15))
-    a = extract_dilate_sampled(s, 2, samples=500, seed=11)
-    b = extract_dilate_sampled(s, 2, samples=500, seed=11)
-    assert a == b
-    assert a.method == "sampled"
-    assert a.score <= extract_dilate_exhaustive(s, 2, method="sweep").score
-    assert is_k_sum_free(a.subset, 2)
 
 
 def test_folner_extraction_empty_inner():

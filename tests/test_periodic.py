@@ -25,6 +25,7 @@ from sumfree import (
     InvalidParameterError,
     PeriodicContainment,
     ResidueSet,
+    ResourceLimitError,
     check_translate_inequality,
     density,
     difference_kernel,
@@ -41,6 +42,7 @@ from sumfree import (
     verify_density_drop,
 )
 from sumfree.harness import grow_k_sum_free, random_drop_instance
+from sumfree.periodic import SCHEDULE_BIT_CAP
 
 
 def drop_expression(i: int, k: int) -> Fraction:
@@ -227,6 +229,25 @@ def test_geometric_schedule_shape():
         geometric_schedule(5, Fraction(1, 2), 3)
 
 
+def test_geometric_schedule_refuses_over_its_bit_cap():
+    # the default schedule of fls-step at n0 = 100000, k = 2, eps = 1/6
+    with pytest.raises(ResourceLimitError) as caught:
+        geometric_schedule(100000, Fraction(192), 200000)
+    assert caught.value.required > SCHEDULE_BIT_CAP
+
+
+@pytest.mark.parametrize(
+    "start, ratio, count",
+    [(100, Fraction(192), 200), (89, Fraction(1920), 267), (7, Fraction(3, 2), 50), (1, 2, 1)],
+)
+def test_geometric_schedule_bit_bound_covers_the_entries(monkeypatch, start, ratio, count):
+    built = geometric_schedule(start, ratio, count)
+    monkeypatch.setattr("sumfree.periodic.SCHEDULE_BIT_CAP", 0)
+    with pytest.raises(ResourceLimitError) as caught:
+        geometric_schedule(start, ratio, count)
+    assert sum(n.bit_length() for n in built) <= caught.value.required < SCHEDULE_BIT_CAP // 100
+
+
 def test_translate_inequality_examples():
     n = 99
     odds = IntSet.of(range(1, n + 1, 2))
@@ -323,6 +344,17 @@ def test_fls_step_density_drop_upper_half():
     assert out.index == 1
     assert out.value == Fraction(1, 384)
     assert out.value <= Fraction(1, 3) + Fraction(1, 12)
+
+
+@pytest.mark.parametrize(
+    "values, modulus, tag",
+    [(range(1, 1000, 2), 2, "periodic-containment"), (range(51, 101), 7, "density-drop")],
+)
+def test_fls_step_default_schedule_is_the_geometric_one(values, modulus, tag):
+    s, eps = IntSet.of(values), Fraction(1, 6)
+    explicit = fls_step(s, 2, 100, modulus, 3, eps, geometric_schedule(100, Fraction(192), 200))
+    assert explicit.tag == tag
+    assert fls_step(s, 2, 100, modulus, 3, eps) == explicit
 
 
 def test_fls_step_rejects_bad_hypotheses():
