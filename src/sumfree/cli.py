@@ -14,6 +14,7 @@ import sys
 from fractions import Fraction
 
 from .core import (
+    _require_int,
     find_violation,
     format_set_text,
     is_k_sum_free,
@@ -55,8 +56,6 @@ def _parse_eps(text: str) -> Fraction:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"cannot parse eps {text!r}: {exc}") from None
-    if value <= 0:
-        raise InvalidParameterError(f"eps must be positive, got {text!r}")
     return value
 
 
@@ -195,6 +194,7 @@ def _cmd_experiment_fls_soak(args) -> int:
 
     Exits 4 on the first falsification, writing the instance when there is one.
     """
+    _require_int(args.trials, "trials")
     rng = random.Random(args.seed)
     for trial in range(args.trials):
         k = 2 if trial % 2 == 0 else 3
@@ -375,10 +375,7 @@ def main(argv=None) -> int:
         return 0 if not exc.code else 2
     try:
         return args.handler(args)
-    except InvalidParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

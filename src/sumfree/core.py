@@ -15,6 +15,10 @@ max A, the mean of A and k, and takes the cheaper: dense sets of small
 integers go to the bitsets, sparse sets of large integers to the
 enumeration.  ``bitset_cap`` is a hard limit on the bitset route; a set
 whose largest element exceeds it is always enumerated.
+
+``_require_int`` is the one parameter guard: the package's integer
+counts, moduli, horizons, scales and arities pass through it, so a bool,
+a float or a value below the minimum raises InvalidParameterError.
 """
 
 from __future__ import annotations
@@ -33,9 +37,13 @@ DEFAULT_BITSET_CAP = 1 << 20
 _ENUMERATION_STEP_BITS = 2048
 
 
+def _require_int(value: int, what: str, low: int = 1) -> None:
+    if type(value) is not int or value < low:
+        raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
 def _require_arity(k: int) -> None:
-    if not isinstance(k, int) or k < 2:
-        raise InvalidParameterError(f"arity k must be an integer >= 2, got {k!r}")
+    _require_int(k, "arity k", 2)
 
 
 @dataclass(frozen=True)
@@ -45,14 +53,13 @@ class IntSet:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # _require_int's rule, inline: a call per element would double the build time
         prev = 0
         for value in self.elements:
-            if not isinstance(value, int):
-                raise InvalidParameterError(f"set elements must be integers, got {value!r}")
-            if value < 1:
-                raise InvalidParameterError(f"set elements must be >= 1, got {value}")
-            if value <= prev:
-                raise InvalidParameterError("set elements must be strictly increasing")
+            if type(value) is not int or value <= prev:
+                raise InvalidParameterError(
+                    f"set elements must be strictly increasing integers >= 1, got {value!r}"
+                )
             prev = value
 
     @staticmethod
@@ -83,14 +90,12 @@ class IntSet:
 
     def upto(self, n: int) -> "IntSet":
         """Restriction to [1, n]."""
-        if n < 0:
-            raise InvalidParameterError(f"restriction bound must be >= 0, got {n}")
+        _require_int(n, "restriction bound", 0)
         return IntSet(self.elements[: bisect_right(self.elements, n)])
 
     def dilate(self, c: int) -> "IntSet":
         """The set {c*a : a in A} for a positive integer c."""
-        if not isinstance(c, int) or c < 1:
-            raise InvalidParameterError(f"dilation factor must be a positive integer, got {c!r}")
+        _require_int(c, "dilation factor")
         return IntSet(tuple(c * a for a in self.elements))
 
 

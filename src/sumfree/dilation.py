@@ -40,6 +40,7 @@ from typing import Optional
 
 from .core import IntSet, is_k_sum_free, _require_arity
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
+from .folner import set_dilation_defect
 from .measures import RationalMeasure
 
 DEFAULT_SWEEP_CAP = 50_000
@@ -66,7 +67,6 @@ def erdos_interval(k: int) -> OpenInterval:
 
 def interval_is_k_sum_free(k: int) -> bool:
     """Exact check that k points of the arc can never sum into the arc (mod 1)."""
-    _require_arity(k)
     arc = erdos_interval(k)
     lo, hi = arc.lo, arc.hi
     # the k-fold sumset of (lo, hi) is the open arc (k*lo, k*hi) reduced mod 1
@@ -244,7 +244,6 @@ def extract_dilate_exhaustive(
     explicit ``method="sweep"`` over the cap raises ResourceLimitError with
     ``required`` set to that count.
     """
-    _require_arity(k)
     if not s:
         raise InvalidParameterError("cannot extract from the empty set")
     if not interval_is_k_sum_free(k):
@@ -292,16 +291,13 @@ def extract_dilate_measure(
     Same averaging as the counting form, weighted: the reported bound is
     (|S|/|F|)*mass(mu) - sum_a mu(a)*|aF △ F|/|F|.
     """
-    from .folner import set_dilation_defect
-
-    _require_arity(k)
     if not f:
         raise InvalidParameterError("the grid must be nonempty")
     if any(x not in f for x in inner):
         raise InvalidParameterError("designated sum-free set must sit inside the grid")
     if not is_k_sum_free(inner, k):
         raise InvalidParameterError(f"designated subset is not {k}-sum-free")
-    inner_members = set(inner.elements)
+    inner_members = inner._members
     support = m.support()
     best_x = None
     best_weight = Fraction(-1)

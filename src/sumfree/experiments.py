@@ -13,9 +13,8 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .core import _require_arity
+from .core import _require_int
 from .dilation import extract_dilate_exhaustive
-from .errors import InvalidParameterError
 from .folner import FolnerGrid, defect, defect_closed_form
 from .harness import random_int_set
 from .solver import max_fraction
@@ -40,9 +39,7 @@ def run_ratio_experiment(
     k: int, m_max: int, budget: Optional[float] = None, timing: bool = False
 ) -> str:
     """Exact largest k-sum-free fraction of each diagonal grid up to m_max."""
-    _require_arity(k)
-    if m_max < 1:
-        raise InvalidParameterError(f"m_max must be >= 1, got {m_max}")
+    _require_int(m_max, "m_max")
     rows = ["m,grid_size,max_size,fraction_exact,fraction_decimal,status,solver_nodes,wall_time"]
     for m in range(1, m_max + 1):
         started = time.monotonic()
@@ -58,10 +55,7 @@ def run_ratio_experiment(
 
 def run_defect_experiment(a: int, m_max: int) -> str:
     """Dilation defect of each diagonal grid against its closed form."""
-    if a < 1:
-        raise InvalidParameterError(f"dilation factor must be >= 1, got {a}")
-    if m_max < 1:
-        raise InvalidParameterError(f"m_max must be >= 1, got {m_max}")
+    _require_int(m_max, "m_max")
     rows = ["m,defect_exact,closed_form_exact,match"]
     for m in range(1, m_max + 1):
         grid = FolnerGrid.diagonal(m)
@@ -87,9 +81,7 @@ def run_extraction_experiment(
     Every row must report meets_guarantee=true; the summary row carries
     the exact mean extracted fraction, which should exceed 1/(k+1).
     """
-    _require_arity(k)
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be >= 1, got {trials}")
+    _require_int(trials, "trials")
     rng = random.Random(seed)
     rows = ["trial,n,extracted_size,guarantee,meets_guarantee,fraction_exact,fraction_decimal,wall_time"]
     total = Fraction(0)

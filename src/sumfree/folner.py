@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import isqrt
 from typing import Optional
 
-from .core import IntSet
+from .core import IntSet, _require_int
 from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_GENERATE_CAP = 10**7
@@ -28,13 +29,19 @@ DEFAULT_DEFECT_ENUMERATION_CAP = 10**5
 
 
 def first_primes(count: int) -> tuple[int, ...]:
-    """The first ``count`` primes, by trial division (small counts only)."""
-    if count < 0:
-        raise InvalidParameterError(f"prime count must be >= 0, got {count}")
+    """The first ``count`` primes, by trial division up to the square root."""
+    _require_int(count, "prime count", 0)
     primes: list[int] = []
     candidate = 2
     while len(primes) < count:
-        if all(candidate % p for p in primes if p * p <= candidate):
+        root = isqrt(candidate)
+        for p in primes:
+            if p > root:
+                primes.append(candidate)
+                break
+            if candidate % p == 0:
+                break
+        else:  # only 2, which has no smaller prime to try
             primes.append(candidate)
         candidate += 1
     return tuple(primes)
@@ -48,12 +55,8 @@ class FolnerGrid:
     exponent_bound: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.prime_count, int) or self.prime_count < 1:
-            raise InvalidParameterError(f"prime count must be >= 1, got {self.prime_count!r}")
-        if not isinstance(self.exponent_bound, int) or self.exponent_bound < 1:
-            raise InvalidParameterError(
-                f"exponent bound must be >= 1, got {self.exponent_bound!r}"
-            )
+        _require_int(self.prime_count, "prime count")
+        _require_int(self.exponent_bound, "exponent bound")
 
     @staticmethod
     def diagonal(m: int) -> "FolnerGrid":
@@ -106,8 +109,7 @@ def contains(grid: FolnerGrid, n: int) -> Optional[tuple[int, ...]]:
     Membership is decided by trial division by the grid primes alone, so this
     never factors n in full.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"membership is defined for integers >= 1, got {n!r}")
+    _require_int(n, "membership candidate")
     exponents = _factor_over(grid.primes, n)
     if exponents is None or any(e >= grid.exponent_bound for e in exponents.values()):
         return None
@@ -134,8 +136,7 @@ def defect_closed_form(grid: FolnerGrid, a: int) -> Fraction:
     Any prime of a outside the grid empties the intersection (defect 2);
     otherwise each exponent c_j shrinks its axis from b to max(0, b - c_j).
     """
-    if not isinstance(a, int) or a < 1:
-        raise InvalidParameterError(f"dilation factor must be a positive integer, got {a!r}")
+    _require_int(a, "dilation factor")
     exponents = _factor_over(grid.primes, a)
     if exponents is None:
         return Fraction(2)
@@ -146,7 +147,7 @@ def defect_closed_form(grid: FolnerGrid, a: int) -> Fraction:
     return 2 * (1 - Fraction(surviving, grid.size()))
 
 
-def _injective_defect(members: set, a: int) -> Fraction:
+def _injective_defect(members: frozenset, a: int) -> Fraction:
     """|aF △ F| / |F| = 2*(|F| - |aF ∩ F|) / |F|, as x -> a*x is injective."""
     shared = sum(1 for x in members if a * x in members)
     return Fraction(2 * (len(members) - shared), len(members))
@@ -162,17 +163,15 @@ def defect(
     grid elements.  That keeps this route independent of
     ``defect_closed_form``, which larger grids return.
     """
-    if not isinstance(a, int) or a < 1:
-        raise InvalidParameterError(f"dilation factor must be a positive integer, got {a!r}")
+    _require_int(a, "dilation factor")
     if grid.size() > enumeration_cap:
         return defect_closed_form(grid, a)
-    return _injective_defect(set(_products(grid)), a)
+    return _injective_defect(frozenset(_products(grid)), a)
 
 
 def set_dilation_defect(f: IntSet, a: int) -> Fraction:
     """|aF △ F| / |F| for an arbitrary finite set F (no grid structure assumed)."""
     if not f:
         raise InvalidParameterError("defect of the empty set is undefined")
-    if not isinstance(a, int) or a < 1:
-        raise InvalidParameterError(f"dilation factor must be a positive integer, got {a!r}")
-    return _injective_defect(set(f.elements), a)
+    _require_int(a, "dilation factor")
+    return _injective_defect(f._members, a)

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntSet, _require_arity, k_difference_set
+from .core import IntSet, _require_arity, _require_int, k_difference_set
 from .errors import InvalidParameterError
 from .periodic import DensityDropInstance, _progressions, geometric_schedule
 
@@ -22,12 +22,8 @@ INEQUALITY_ATTEMPTS = 200
 
 def random_int_set(rng: random.Random, size: int, magnitude: int) -> IntSet:
     """size distinct integers drawn uniformly from [1, magnitude]."""
-    if size < 1:
-        raise InvalidParameterError(f"size must be >= 1, got {size}")
-    if magnitude < size:
-        raise InvalidParameterError(
-            f"magnitude {magnitude} cannot host {size} distinct elements"
-        )
+    _require_int(size, "size")
+    _require_int(magnitude, f"magnitude for {size} distinct elements", size)
     return IntSet.of(rng.sample(range(1, magnitude + 1), size))
 
 
@@ -46,8 +42,7 @@ def grow_k_sum_free(
     probability 1 and no seeds this is the deterministic greedy set.
     """
     _require_arity(k)
-    if horizon < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {horizon}")
+    _require_int(horizon, "horizon")
     if not 0.0 <= include_probability <= 1.0:
         raise InvalidParameterError(
             f"include probability must lie in [0, 1], got {include_probability}"
@@ -95,8 +90,7 @@ def find_progressions(
     s: IntSet, n0: int, ap_length: int, max_step: int
 ) -> list[tuple[int, int]]:
     """All (start, step) of length-ap_length progressions in s ∩ [1, n0]."""
-    if ap_length < 2:
-        raise InvalidParameterError(f"progression search needs length >= 2, got {ap_length}")
+    _require_int(ap_length, "progression search length", 2)
     return list(_progressions(s, n0, ap_length, range(1, max_step + 1)))
 
 
@@ -108,7 +102,6 @@ def random_drop_instance(k: int, rng: random.Random, mirrored: bool = False) -> 
     side of the progression start.  The schedule uses the stronger
     16k/eps growth ratio so every ratio hypothesis is met with room.
     """
-    _require_arity(k)
     for _ in range(DROP_ATTEMPTS):
         horizon = rng.randrange(300, 700)
         prob = rng.uniform(0.25, 0.7)
@@ -156,7 +149,6 @@ def random_inequality_case(k: int, rng: random.Random) -> tuple[IntSet, int, int
     thinned grower yields no natural progression, one is planted high
     enough that its terms are jointly k-sum-free by size alone.
     """
-    _require_arity(k)
     for _ in range(INEQUALITY_ATTEMPTS):
         horizon = rng.randrange(200, 600)
         prob = rng.uniform(0.3, 0.8)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import IntSet, _require_arity
+from .core import IntSet, _require_arity, _require_int
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 
 SUPPORT_CAP = 10**6
@@ -35,8 +35,7 @@ class RationalMeasure:
     def from_weights(mapping: Mapping[int, Fraction]) -> "RationalMeasure":
         clean = {}
         for point, weight in mapping.items():
-            if not isinstance(point, int) or point < 1:
-                raise InvalidParameterError(f"support points must be integers >= 1, got {point!r}")
+            _require_int(point, "support point")
             w = Fraction(weight)
             if w < 0:
                 raise InvalidParameterError(f"weights must be >= 0, got {w} at {point}")
@@ -55,8 +54,7 @@ class RationalMeasure:
 
 def uniform_measure(n: int) -> RationalMeasure:
     """Weight 1/n on each of 1..n."""
-    if not isinstance(n, int) or n < 1:
-        raise InvalidParameterError(f"uniform measure needs n >= 1, got {n!r}")
+    _require_int(n, "uniform measure size n")
     w = Fraction(1, n)
     return RationalMeasure({p: w for p in range(1, n + 1)}, Fraction(1), n)
 
@@ -81,8 +79,7 @@ def mix(coefficients: Sequence[Fraction], measures: Sequence[RationalMeasure]) -
 
 def pushforward_scale(m: RationalMeasure, q: int) -> RationalMeasure:
     """Image measure under point -> q * point."""
-    if not isinstance(q, int) or q < 1:
-        raise InvalidParameterError(f"pushforward scale must be a positive integer, got {q!r}")
+    _require_int(q, "pushforward scale")
     return RationalMeasure(
         {q * point: weight for point, weight in m.weights.items()},
         m.mass,
@@ -117,11 +114,8 @@ class NuSchedule:
         if not self.n_sequence:
             raise InvalidParameterError("schedule needs at least one scale")
         prev = 0
-        for n in self.n_sequence:
-            if not isinstance(n, int) or n < 1:
-                raise InvalidParameterError(f"scales must be integers >= 1, got {n!r}")
-            if n <= prev:
-                raise InvalidParameterError("scales must be strictly increasing")
+        for j, n in enumerate(self.n_sequence):
+            _require_int(n, f"scale {j}", prev + 1)  # so the scales strictly increase
             prev = n
         if not self.block_ends or self.block_ends[0] != 0:
             raise InvalidParameterError("block boundaries must start at index 0")
@@ -197,13 +191,10 @@ def build_mu(
     asked for a measure at q times the current support bound.  Providers
     must return mass-1 measures supported at least as far as the request.
     """
-    if not isinstance(i_max, int) or i_max < 1:
-        raise InvalidParameterError(f"step count must be >= 1, got {i_max!r}")
-    if not isinstance(q, int) or q < 1:
-        raise InvalidParameterError(f"scale factor must be a positive integer, got {q!r}")
+    _require_int(i_max, "step count")
+    _require_int(q, "scale factor")
     _require_arity(k)
-    if not isinstance(n_start, int) or n_start < 1:
-        raise InvalidParameterError(f"starting scale must be >= 1, got {n_start!r}")
+    _require_int(n_start, "starting scale")
 
     def fetch(n: int) -> RationalMeasure:
         candidate = nu_provider(n)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import IntSet, _require_arity, difference_witness, is_k_sum_free
+from .core import IntSet, _require_arity, _require_int, difference_witness, is_k_sum_free
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 
 # bound on the bits of all entries of one geometric schedule (about 12 MB)
@@ -29,8 +29,7 @@ SCHEDULE_BIT_CAP = 10**8
 
 def density(s: IntSet, n: int) -> Fraction:
     """Exact density |s ∩ [1, n]| / n."""
-    if n < 1:
-        raise InvalidParameterError(f"density horizon must be >= 1, got {n}")
+    _require_int(n, "density horizon")
     return Fraction(bisect_right(s.elements, n), n)
 
 
@@ -42,18 +41,16 @@ class ResidueSet:
     residues: frozenset
 
     def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise InvalidParameterError(f"modulus must be >= 1, got {self.modulus}")
+        _require_int(self.modulus, "modulus")
         for r in self.residues:
-            if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < self.modulus:
+            if type(r) is not int or not 0 <= r < self.modulus:
                 raise InvalidParameterError(
                     f"residue {r!r} out of range for modulus {self.modulus}"
                 )
 
     @classmethod
     def of(cls, modulus: int, residues) -> "ResidueSet":
-        if modulus < 1:
-            raise InvalidParameterError(f"modulus must be >= 1, got {modulus}")
+        _require_int(modulus, "modulus")
         return cls(modulus, frozenset(r % modulus for r in residues))
 
     def __contains__(self, n: int) -> bool:
@@ -73,8 +70,7 @@ class ResidueSet:
 
 def periodic_hull(s: IntSet, n0: int, modulus: int) -> ResidueSet:
     """Residues modulo `modulus` hit by s within [1, n0]."""
-    if n0 < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {n0}")
+    _require_int(n0, "horizon")
     return ResidueSet.of(modulus, s.upto(n0))
 
 
@@ -135,12 +131,9 @@ def find_ap(s: IntSet, n0: int, ap_length: int, modulus: int) -> Optional[tuple[
     the modulus in ascending order and then the smallest start; None when
     no progression of the requested length exists.
     """
-    if ap_length < 1:
-        raise InvalidParameterError(f"progression length must be >= 1, got {ap_length}")
-    if modulus < 1:
-        raise InvalidParameterError(f"modulus must be >= 1, got {modulus}")
-    if n0 < 1:
-        raise InvalidParameterError(f"horizon must be >= 1, got {n0}")
+    _require_int(ap_length, "progression length")
+    _require_int(modulus, "modulus")
+    _require_int(n0, "horizon")
     divisors = (m for m in range(1, modulus + 1) if modulus % m == 0)
     return next(_progressions(s, n0, ap_length, divisors), None)
 
@@ -189,13 +182,11 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
     a schedule whose summed bound exceeds SCHEDULE_BIT_CAP is refused with
     ResourceLimitError before any entry is built.
     """
-    if start < 1:
-        raise InvalidParameterError(f"schedule start must be >= 1, got {start}")
+    _require_int(start, "schedule start")
     ratio = Fraction(ratio)
     if ratio <= 1:
         raise InvalidParameterError(f"schedule ratio must exceed 1, got {ratio}")
-    if count < 0:
-        raise InvalidParameterError(f"schedule length must be >= 0, got {count}")
+    _require_int(count, "schedule length", 0)
     step_bits = (-(-ratio.numerator // ratio.denominator)).bit_length()
     required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
     if required > SCHEDULE_BIT_CAP:
@@ -281,13 +272,10 @@ def parse_instance(text: str) -> DensityDropInstance:
 
 
 def _check_schedule(schedule: Sequence[int], base: int, min_ratio: Fraction) -> None:
-    if not schedule:
-        raise InvalidParameterError("schedule: schedule is empty")
     p, q = min_ratio.numerator, min_ratio.denominator
     prev = base
     for j, n in enumerate(schedule):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise InvalidParameterError(f"schedule: entry {j} is not a positive integer: {n!r}")
+        _require_int(n, f"schedule: entry {j}")
         if n * q < p * prev:
             raise InvalidParameterError(
                 f"schedule: entry {j} = {n} grows by less than the required "
@@ -297,10 +285,11 @@ def _check_schedule(schedule: Sequence[int], base: int, min_ratio: Fraction) -> 
 
 
 def _require_progression(s: IntSet, start: int, step: int, length: int) -> None:
-    """Reject a start, step or length below 1, and any progression term outside s."""
-    if start < 1 or step < 1 or length < 1:
-        raise InvalidParameterError("progression start, step and length must be >= 1")
-    members = set(s.elements)
+    """Reject a start, step or length that is not an integer >= 1, and any term outside s."""
+    _require_int(start, "progression start")
+    _require_int(step, "progression step")
+    _require_int(length, "progression length")
+    members = s._members
     for j in range(length):
         if start + j * step not in members:
             raise InvalidParameterError(f"progression term {start + j * step} is not in the set")
@@ -308,7 +297,7 @@ def _require_progression(s: IntSet, start: int, step: int, length: int) -> None:
 
 def _neighboured(s: IntSet, step: int, length: int) -> list[int]:
     """Members a of s, ascending, with some a + j*step in s for j in 1..length."""
-    members = set(s.elements)
+    members = s._members
     return [a for a in s if any(a + j * step in members for j in range(1, length + 1))]
 
 
@@ -336,8 +325,6 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
         raise InvalidParameterError(
             f"instance was built for arity {instance.k}, checked with {k}"
         )
-    if instance.n0 < 1:
-        raise InvalidParameterError(f"n0 must be >= 1, got {instance.n0}")
     _require_progression(instance.elements, instance.ap_start, instance.ap_step, instance.ap_length)
     eps = Fraction(instance.eps)
     if eps <= 0:
@@ -384,8 +371,7 @@ def check_translate_inequality(
     preconditions (k-sum-free set containing the progression
     x, x+m, ..., x+(i-1)m) this provably holds; False is a falsification.
     """
-    if n < 1:
-        raise InvalidParameterError(f"count horizon must be >= 1, got {n}")
+    _require_int(n, "count horizon")
     _require_progression(s, x, m, i)
     if not is_k_sum_free(s, k):
         raise InvalidParameterError("set is not k-sum-free on its data")
@@ -485,7 +471,8 @@ def fls_step(
             f"required for the drop bound at eps {eps}"
         )
     ratio = Fraction(16 * k) / eps
-    schedule = tuple(geometric_schedule(n0, ratio, k * n0) if schedule is None else schedule)
+    derived = schedule is None
+    schedule = geometric_schedule(n0, ratio, k * n0) if derived else tuple(schedule)
     if not is_k_sum_free(s, k):
         raise InvalidParameterError("input set is not k-sum-free on its data")
     threshold = Fraction(1, k + 1) + eps
@@ -498,7 +485,8 @@ def fls_step(
         raise InvalidParameterError(
             f"schedule has {len(schedule)} entries, needs at least k*n0 = {k * n0}"
         )
-    _check_schedule(schedule, n0, ratio)
+    if not derived:  # a derived schedule meets the ratio by construction
+        _check_schedule(schedule, n0, ratio)
     hull = periodic_hull(s, n0, modulus)
     if is_residue_k_sum_free(hull, k):
         return PeriodicContainment(hull)

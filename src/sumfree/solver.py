@@ -55,7 +55,7 @@ class ForbiddenHypergraph:
         return tuple(tuple(elements[i] for i in _bits(m)) for m in self.masks)
 
     def is_independent(self, subset: IntSet) -> bool:
-        members = set(subset.elements)
+        members = subset._members
         chosen = sum(1 << i for i, v in enumerate(self.vertices.elements) if v in members)
         return all(m & chosen != m for m in self.masks)
 
@@ -220,7 +220,6 @@ def max_k_sum_free(
     edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> SolveResult:
     """Size and witness of a maximum k-sum-free (or strongly so) subset of s."""
-    _require_arity(k)
     if budget is not None and budget <= 0:
         raise InvalidParameterError(f"time budget must be positive, got {budget}")
     if algo not in ("bb", "brute"):

@@ -241,6 +241,14 @@ def test_experiment_fls_soak_prints_the_three_wave_summaries(capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_experiment_fls_soak_without_trials_is_parameter_error(capsys, trials):
+    assert main(["experiment", "fls-soak", "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: trials must be an integer >= 1" in captured.err
+
+
 def test_experiment_fls_soak_falsified_writes_instance(monkeypatch, tmp_path, capsys):
     # splice a failing verifier in at the seam; the first wave's first
     # instance (k = 2, mirrored) must then be written out and exit 4

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
@@ -23,7 +24,7 @@ from sumfree import (
     read_set_file,
     write_set_file,
 )
-from sumfree import core
+from sumfree import core, experiments, folner, harness, measures, periodic
 
 
 def naive_violations(elements, k):
@@ -292,3 +293,67 @@ def test_small_bitset_caps_force_enumeration(monkeypatch):
         expected = not naive_violations(s.elements, k)
         assert is_k_sum_free(s, k, bitset_cap=0) == expected
         assert is_k_sum_free(s, k, bitset_cap=1) == expected
+
+
+_odds = IntSet.of(range(1, 100, 2))
+_grid = folner.FolnerGrid(2, 2)
+_rng = random.Random(0)
+_uniform = measures.uniform_measure(2)
+# (id, minimum, call) for each integer parameter behind core._require_int
+GUARDED_CALLS = [
+    ("arity", 2, lambda v: is_k_sum_free(_odds, v)),
+    ("IntSet.of", 1, lambda v: IntSet.of([v, 3])),
+    ("upto", 0, lambda v: _odds.upto(v)),
+    ("dilate", 1, lambda v: _odds.dilate(v)),
+    ("first_primes", 0, lambda v: folner.first_primes(v)),
+    ("FolnerGrid.prime_count", 1, lambda v: folner.FolnerGrid(v, 2)),
+    ("FolnerGrid.exponent_bound", 1, lambda v: folner.FolnerGrid(2, v)),
+    ("contains", 1, lambda v: folner.contains(_grid, v)),
+    ("defect_closed_form", 1, lambda v: folner.defect_closed_form(_grid, v)),
+    ("defect", 1, lambda v: folner.defect(_grid, v)),
+    ("set_dilation_defect", 1, lambda v: folner.set_dilation_defect(_odds, v)),
+    ("from_weights", 1, lambda v: measures.RationalMeasure.from_weights({v: 1})),
+    ("uniform_measure", 1, lambda v: measures.uniform_measure(v)),
+    ("pushforward_scale", 1, lambda v: measures.pushforward_scale(_uniform, v)),
+    ("NuSchedule", 1, lambda v: measures.NuSchedule((v,), (0,), Fraction(1, 4), 2)),
+    ("build_mu.i_max", 1, lambda v: measures.build_mu(v, 2, 2, measures.uniform_measure)),
+    ("build_mu.q", 1, lambda v: measures.build_mu(2, v, 2, measures.uniform_measure)),
+    ("build_mu.n_start", 1, lambda v: measures.build_mu(2, 2, 2, measures.uniform_measure, v)),
+    ("density", 1, lambda v: periodic.density(_odds, v)),
+    ("ResidueSet", 1, lambda v: periodic.ResidueSet(v, frozenset())),
+    ("ResidueSet.of", 1, lambda v: periodic.ResidueSet.of(v, [1])),
+    ("periodic_hull.n0", 1, lambda v: periodic.periodic_hull(_odds, v, 2)),
+    ("periodic_hull.modulus", 1, lambda v: periodic.periodic_hull(_odds, 10, v)),
+    ("find_ap.n0", 1, lambda v: periodic.find_ap(_odds, v, 3, 2)),
+    ("find_ap.ap_length", 1, lambda v: periodic.find_ap(_odds, 50, v, 2)),
+    ("find_ap.modulus", 1, lambda v: periodic.find_ap(_odds, 50, 3, v)),
+    ("geometric_schedule.start", 1, lambda v: periodic.geometric_schedule(v, 3, 4)),
+    ("geometric_schedule.count", 0, lambda v: periodic.geometric_schedule(2, 3, v)),
+    ("schedule entry", 1, lambda v: periodic._check_schedule((v,), 1, Fraction(1, 2))),
+    ("check_translate_inequality.n", 1,
+     lambda v: periodic.check_translate_inequality(_odds, v, 1, 2, 3, 2)),
+    ("check_translate_inequality.x", 1,
+     lambda v: periodic.check_translate_inequality(_odds, 50, v, 2, 3, 2)),
+    ("check_translate_inequality.m", 1,
+     lambda v: periodic.check_translate_inequality(_odds, 50, 1, v, 3, 2)),
+    ("check_translate_inequality.i", 1,
+     lambda v: periodic.check_translate_inequality(_odds, 50, 1, 2, v, 2)),
+    ("random_int_set.size", 1, lambda v: harness.random_int_set(_rng, v, 100)),
+    ("random_int_set.magnitude", 5, lambda v: harness.random_int_set(_rng, 5, v)),
+    ("grow_k_sum_free", 1, lambda v: harness.grow_k_sum_free(2, v)),
+    ("run_ratio_experiment", 1, lambda v: experiments.run_ratio_experiment(2, v)),
+    ("run_defect_experiment.a", 1, lambda v: experiments.run_defect_experiment(v, 2)),
+    ("run_defect_experiment.m_max", 1, lambda v: experiments.run_defect_experiment(2, v)),
+    ("run_extraction_experiment", 1,
+     lambda v: experiments.run_extraction_experiment(2, v, 5, 0)),
+]
+
+
+@pytest.mark.parametrize("kind", ["bool", "float", "below-minimum"])
+@pytest.mark.parametrize(
+    "low, call", [c[1:] for c in GUARDED_CALLS], ids=[c[0] for c in GUARDED_CALLS]
+)
+def test_integer_parameters_reject_bools_floats_and_values_below_the_minimum(low, call, kind):
+    bad = {"bool": True, "float": 2.5, "below-minimum": low - 1}[kind]
+    with pytest.raises(InvalidParameterError, match="integer"):
+        call(bad)

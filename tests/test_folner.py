@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,20 @@ def test_first_primes():
     assert first_primes(1) == (2,)
     assert first_primes(5) == (2, 3, 5, 7, 11)
     assert first_primes(0) == ()
+
+
+def test_first_primes_matches_a_sieve_and_stops_trial_division_at_the_root():
+    top = 224_737  # the 20000th prime
+    sieve = bytearray([1]) * (top + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, int(top**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, top + 1, p)))
+    started = time.perf_counter()
+    primes = first_primes(20_000)
+    elapsed = time.perf_counter() - started
+    assert primes == tuple(n for n in range(top + 1) if sieve[n])
+    assert elapsed < 2.0
 
 
 def test_grid_construction_and_parse():

@@ -42,6 +42,7 @@ from sumfree import (
     verify_density_drop,
 )
 from sumfree.harness import grow_k_sum_free, random_drop_instance
+from sumfree import periodic
 from sumfree.periodic import SCHEDULE_BIT_CAP
 
 
@@ -355,6 +356,22 @@ def test_fls_step_default_schedule_is_the_geometric_one(values, modulus, tag):
     explicit = fls_step(s, 2, 100, modulus, 3, eps, geometric_schedule(100, Fraction(192), 200))
     assert explicit.tag == tag
     assert fls_step(s, 2, 100, modulus, 3, eps) == explicit
+
+
+def test_fls_step_checks_only_a_schedule_its_caller_supplies(monkeypatch):
+    odds, k, n0, q, i, eps, schedule = valid_odds_arguments()
+    checked = []
+    real = periodic._check_schedule
+
+    def spy(*args):
+        checked.append(args)
+        real(*args)
+
+    monkeypatch.setattr(periodic, "_check_schedule", spy)
+    assert fls_step(odds, k, n0, q, i, eps).tag == "periodic-containment"
+    assert checked == []
+    assert fls_step(odds, k, n0, q, i, eps, schedule).tag == "periodic-containment"
+    assert checked == [(schedule, n0, Fraction(16 * k) / eps)]
 
 
 def test_fls_step_rejects_bad_hypotheses():
