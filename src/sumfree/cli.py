@@ -31,7 +31,7 @@ from .experiments import (
     run_extraction_experiment,
     run_ratio_experiment,
 )
-from .folner import FolnerGrid, defect, defect_closed_form, generate
+from .folner import DEFAULT_GENERATE_CAP, FolnerGrid, defect, defect_closed_form, generate
 from .harness import grow_k_sum_free, random_drop_instance, random_inequality_case
 from .measures import build_mu, serialize_measure, uniform_measure
 from .periodic import (
@@ -124,7 +124,7 @@ def _cmd_extract_folner(args) -> int:
 
 def _cmd_folner_gen(args) -> int:
     grid = FolnerGrid.parse(args.grid)
-    f = generate(grid) if args.cap is None else generate(grid, cap=args.cap)
+    f = generate(grid, args.cap)
     if args.out is not None:
         write_set_file(args.out, f)
         print(f"wrote {len(f)} elements to {args.out}")
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = folner_sub.add_parser("gen", help="enumerate a grid")
     gen.add_argument("--grid", required=True, help="grid shape: m or r,b")
     gen.add_argument("--out", default=None)
-    gen.add_argument("--cap", type=int, default=None)
+    gen.add_argument("--cap", type=int, default=DEFAULT_GENERATE_CAP)
     gen.set_defaults(handler=_cmd_folner_gen)
     defect_cmd = folner_sub.add_parser("defect", help="dilation defect of a grid")
     defect_cmd.add_argument("--grid", required=True, help="grid shape: m or r,b")

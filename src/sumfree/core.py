@@ -19,6 +19,8 @@ whose largest element exceeds it is always enumerated.
 ``_require_int`` is the one parameter guard: the package's integer
 counts, moduli, horizons, scales and arities pass through it, so a bool,
 a float or a value below the minimum raises InvalidParameterError.
+``_require_within`` is the one resource guard: every cap that stops a call
+is checked through it, and only it raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import cached_property
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 DEFAULT_BITSET_CAP = 1 << 20
 # Bits one shift-OR covers in the time of one enumeration step (about 0.2 us
@@ -40,6 +42,12 @@ _ENUMERATION_STEP_BITS = 2048
 def _require_int(value: int, what: str, low: int = 1) -> None:
     if type(value) is not int or value < low:
         raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _require_within(required: int, cap: int, what: str) -> None:
+    # `what` names the amount with a {} placeholder, formatted only on refusal
+    if required > cap:
+        raise ResourceLimitError(f"{what.format(required)}, over the cap of {cap}", required)
 
 
 def _require_arity(k: int) -> None:
@@ -222,10 +230,10 @@ def find_violation(s: IntSet, k: int) -> Optional[Violation]:
     return None if found is None else Violation(*found)
 
 
-def is_strongly_k_sum_free(s: IntSet, k: int, bitset_cap: int = DEFAULT_BITSET_CAP) -> bool:
+def is_strongly_k_sum_free(s: IntSet, k: int) -> bool:
     """True iff s is ell-sum-free for every ell in 2..k."""
     _require_arity(k)
-    return all(is_k_sum_free(s, ell, bitset_cap) for ell in range(2, k + 1))
+    return all(is_k_sum_free(s, ell) for ell in range(2, k + 1))
 
 
 def _sums_of(elements: tuple[int, ...], count: int) -> set:

@@ -14,7 +14,7 @@ Two ways to pick x:
   between them, giving the true maximum and the first interval attaining
   it in O(sum(A) log sum(A)) time.  Every sweep, explicit or picked by
   ``auto``, stops with ResourceLimitError when 2*sum(A) + 2 exceeds
-  ``sweep_cap``, so this is for moderate element sizes.
+  ``DEFAULT_SWEEP_CAP``, so this is for moderate element sizes.
 * ``descent``  - bisection steered by conditional expectation: keep the
   half-interval on which the average of |A_x| is larger until the interval
   sits inside one constancy region.  The average never drops below
@@ -38,8 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import IntSet, is_k_sum_free, _require_arity
-from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
+from .core import IntSet, is_k_sum_free, _require_arity, _require_within
+from .errors import FalsificationError, InvalidParameterError
 from .folner import set_dilation_defect
 from .measures import RationalMeasure
 
@@ -231,16 +231,14 @@ def _finalize_circle_result(s: IntSet, k: int, dilator: Fraction, method: str) -
     return ExtractionResult(dilator, subset, score, None, method)
 
 
-def extract_dilate_exhaustive(
-    s: IntSet, k: int, method: str = "auto", sweep_cap: int = DEFAULT_SWEEP_CAP
-) -> ExtractionResult:
+def extract_dilate_exhaustive(s: IntSet, k: int, method: str = "auto") -> ExtractionResult:
     """Deterministic dilation extraction; score is at least ceil(|A|/(k+1)).
 
     ``method="sweep"`` computes the exact maximum of |A_x| over all x by the
     full breakpoint sweep.  ``method="descent"`` runs the expectation
     bisection, which meets the same guarantee at any element size but does
     not claim global optimality.  ``auto`` sweeps when the breakpoint count
-    2*sum(A) + 2 stays within ``sweep_cap`` and descends otherwise; an
+    2*sum(A) + 2 stays within ``DEFAULT_SWEEP_CAP`` and descends otherwise; an
     explicit ``method="sweep"`` over the cap raises ResourceLimitError with
     ``required`` set to that count.
     """
@@ -250,12 +248,9 @@ def extract_dilate_exhaustive(
         raise FalsificationError(f"arc for k={k} failed its sum-freeness check")
     required = 2 * sum(s.elements) + 2
     if method == "auto":
-        method = "sweep" if required <= sweep_cap else "descent"
+        method = "sweep" if required <= DEFAULT_SWEEP_CAP else "descent"
     if method == "sweep":
-        if required > sweep_cap:
-            raise ResourceLimitError(
-                f"sweep needs {required} breakpoints, over the cap of {sweep_cap}", required
-            )
+        _require_within(required, DEFAULT_SWEEP_CAP, "sweep needs {} breakpoints")
         count, mid = _sweep(s.elements, k)
         result = _finalize_circle_result(s, k, mid, "sweep")
         if result.score != count:

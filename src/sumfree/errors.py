@@ -14,12 +14,12 @@ class InvalidParameterError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A cap (enumeration size, edge count, schedule size, time budget) was hit.
+    """A cap (grid size, sweep breakpoints, edge count, measure support, schedule bits) was hit.
 
-    ``required`` carries the cap value that would have been needed, when known.
+    ``required`` carries the amount the refused work would have needed.
     """
 
-    def __init__(self, message: str, required: int | None = None):
+    def __init__(self, message: str, required: int):
         super().__init__(message)
         self.required = required
 

@@ -21,8 +21,8 @@ from functools import cached_property
 from math import isqrt
 from typing import Optional
 
-from .core import IntSet, _require_int
-from .errors import InvalidParameterError, ResourceLimitError
+from .core import IntSet, _require_int, _require_within
+from .errors import InvalidParameterError
 
 DEFAULT_GENERATE_CAP = 10**7
 DEFAULT_DEFECT_ENUMERATION_CAP = 10**5
@@ -95,11 +95,7 @@ def _products(grid: FolnerGrid) -> list[int]:
 
 def generate(grid: FolnerGrid, cap: int = DEFAULT_GENERATE_CAP) -> IntSet:
     """Enumerate the full grid, refusing to materialize more than ``cap`` elements."""
-    size = grid.size()
-    if size > cap:
-        raise ResourceLimitError(
-            f"grid has {size} elements, over the enumeration cap {cap}", required=size
-        )
+    _require_within(grid.size(), cap, "grid has {} elements")
     return IntSet.of(_products(grid))
 
 
@@ -153,18 +149,16 @@ def _injective_defect(members: frozenset, a: int) -> Fraction:
     return Fraction(2 * (len(members) - shared), len(members))
 
 
-def defect(
-    grid: FolnerGrid, a: int, enumeration_cap: int = DEFAULT_DEFECT_ENUMERATION_CAP
-) -> Fraction:
+def defect(grid: FolnerGrid, a: int) -> Fraction:
     """Exact dilation defect |aF △ F| / |F|.
 
     Grids small enough to enumerate are measured directly by
     ``_injective_defect``, which counts |aF ∩ F| by membership in the set of
     grid elements.  That keeps this route independent of
-    ``defect_closed_form``, which larger grids return.
+    ``defect_closed_form``, which grids past DEFAULT_DEFECT_ENUMERATION_CAP return.
     """
     _require_int(a, "dilation factor")
-    if grid.size() > enumeration_cap:
+    if grid.size() > DEFAULT_DEFECT_ENUMERATION_CAP:
         return defect_closed_form(grid, a)
     return _injective_defect(frozenset(_products(grid)), a)
 

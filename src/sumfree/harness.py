@@ -69,7 +69,8 @@ def grow_k_sum_free(
             sums[j] = (sums[j] | (sums[j - 1] << x)) & window
 
     for x in seed_elements:
-        if not 1 <= x <= horizon:
+        _require_int(x, "seed element")
+        if x > horizon:
             raise InvalidParameterError(f"seed element {x} is outside [1, {horizon}]")
         if members >> x & 1:
             continue
@@ -91,6 +92,7 @@ def find_progressions(
 ) -> list[tuple[int, int]]:
     """All (start, step) of length-ap_length progressions in s ∩ [1, n0]."""
     _require_int(ap_length, "progression search length", 2)
+    _require_int(max_step, "largest progression step")
     return list(_progressions(s, n0, ap_length, range(1, max_step + 1)))
 
 

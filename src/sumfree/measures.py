@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import IntSet, _require_arity, _require_int
-from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
+from .core import IntSet, _require_arity, _require_int, _require_within
+from .errors import FalsificationError, InvalidParameterError
 
 SUPPORT_CAP = 10**6
 
@@ -154,11 +154,7 @@ def build_nu(schedule: NuSchedule, strict: bool = False) -> RationalMeasure:
         if violations:
             raise InvalidParameterError(f"schedule violates growth condition: {violations[0]}")
     top_scale = schedule.n_sequence[schedule.block_ends[-1]]
-    if top_scale > SUPPORT_CAP:
-        raise ResourceLimitError(
-            f"largest scale {top_scale} exceeds the support cap {SUPPORT_CAP}",
-            required=top_scale,
-        )
+    _require_within(top_scale, SUPPORT_CAP, "measure support needs {} points")
     t = schedule.t
     outer = Fraction(1, t + 1)
     accumulated: dict[int, Fraction] = {}
@@ -190,13 +186,20 @@ def build_mu(
     Starts from mu_1 = nu_provider(n_start); at each step the provider is
     asked for a measure at q times the current support bound.  Providers
     must return mass-1 measures supported at least as far as the request.
+    No request may pass SUPPORT_CAP: request j is at least n_start*q^(j-1),
+    so a recursion that must pass it is refused before the provider is called.
     """
     _require_int(i_max, "step count")
     _require_int(q, "scale factor")
     _require_arity(k)
     _require_int(n_start, "starting scale")
+    scale, steps = n_start, i_max - 1
+    while steps and scale <= SUPPORT_CAP:
+        scale, steps = scale * q, steps - 1
+    _require_within(scale, SUPPORT_CAP, "measure support needs {} points")
 
     def fetch(n: int) -> RationalMeasure:
+        _require_within(n, SUPPORT_CAP, "measure support needs {} points")
         candidate = nu_provider(n)
         if candidate.mass != 1:
             raise InvalidParameterError(f"nu provider returned mass {candidate.mass} at {n}")

@@ -20,8 +20,10 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import IntSet, _require_arity, _require_int, difference_witness, is_k_sum_free
-from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
+from .core import (
+    IntSet, _require_arity, _require_int, _require_within, difference_witness, is_k_sum_free
+)
+from .errors import FalsificationError, InvalidParameterError
 
 # bound on the bits of all entries of one geometric schedule (about 12 MB)
 SCHEDULE_BIT_CAP = 10**8
@@ -189,10 +191,7 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
     _require_int(count, "schedule length", 0)
     step_bits = (-(-ratio.numerator // ratio.denominator)).bit_length()
     required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
-    if required > SCHEDULE_BIT_CAP:
-        raise ResourceLimitError(
-            f"schedule needs up to {required} bits, over the cap of {SCHEDULE_BIT_CAP}", required
-        )
+    _require_within(required, SCHEDULE_BIT_CAP, "schedule needs up to {} bits")
     out = []
     cur = start
     for _ in range(count):
@@ -251,23 +250,28 @@ def serialize_instance(instance: DensityDropInstance) -> str:
 
 
 def parse_instance(text: str) -> DensityDropInstance:
+    """Read what ``serialize_instance`` writes: JSON integers and an "n/d" eps, coercing nothing."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidParameterError(f"instance is not valid JSON: {exc}") from None
     try:
-        return DensityDropInstance(
-            elements=IntSet.of(payload["elements"]),
-            n0=int(payload["n0"]),
-            ap_start=int(payload["ap_start"]),
-            ap_step=int(payload["ap_step"]),
-            ap_length=int(payload["ap_length"]),
-            difference=int(payload["difference"]),
-            eps=Fraction(payload["eps"]),
-            schedule=tuple(int(n) for n in payload["schedule"]),
-            k=int(payload["k"]),
+        fields = {name: payload[name] for name in DensityDropInstance.__dataclass_fields__}
+        for name, low in (("n0", 1), ("ap_start", 1), ("ap_step", 1), ("ap_length", 1), ("k", 2)):
+            _require_int(fields[name], name, low)
+        for j, n in enumerate(fields["schedule"]):
+            _require_int(n, f"schedule entry {j}")
+        difference, eps = fields["difference"], fields["eps"]
+        if type(difference) is not int:
+            raise InvalidParameterError(f"difference must be an integer, got {difference!r}")
+        value = Fraction(eps) if type(eps) is str else None
+        if value is None or f"{value.numerator}/{value.denominator}" != eps:
+            raise InvalidParameterError(f"eps must be an 'n/d' string in lowest terms, got {eps!r}")
+        fields.update(
+            elements=IntSet.of(fields["elements"]), eps=value, schedule=tuple(fields["schedule"])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+        return DensityDropInstance(**fields)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"malformed instance payload: {exc}") from None
 
 
@@ -465,11 +469,7 @@ def fls_step(
     """
     eps = Fraction(eps)
     needed = min_ap_length(k, eps)
-    if ap_length < needed:
-        raise InvalidParameterError(
-            f"progression length {ap_length} is below the minimum {needed} "
-            f"required for the drop bound at eps {eps}"
-        )
+    _require_int(ap_length, f"progression length for the drop bound at eps {eps}", needed)
     ratio = Fraction(16 * k) / eps
     derived = schedule is None
     schedule = geometric_schedule(n0, ratio, k * n0) if derived else tuple(schedule)

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import IntSet, is_k_sum_free, is_strongly_k_sum_free, _require_arity, _violations
-from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
+from .core import (
+    IntSet, is_k_sum_free, is_strongly_k_sum_free, _require_arity, _require_within, _violations
+)
+from .errors import FalsificationError, InvalidParameterError
 from .folner import FolnerGrid, generate
 
 DEFAULT_EDGE_CAP = 10**7
@@ -60,9 +62,7 @@ class ForbiddenHypergraph:
         return all(m & chosen != m for m in self.masks)
 
 
-def build_hypergraph(
-    s: IntSet, k: int, strong: bool = False, edge_cap: int = DEFAULT_EDGE_CAP
-) -> ForbiddenHypergraph:
+def build_hypergraph(s: IntSet, k: int, strong: bool = False) -> ForbiddenHypergraph:
     """All minimal forbidden supports for k (or for every arity 2..k if strong)."""
     _require_arity(k)
     bit = {v: 1 << i for i, v in enumerate(s.elements)}
@@ -73,11 +73,7 @@ def build_hypergraph(
             for a in summands:
                 mask |= bit[a]
             supports.add(mask)
-            if len(supports) > edge_cap:
-                raise ResourceLimitError(
-                    f"violating-multiset supports exceed the edge cap {edge_cap}",
-                    required=len(supports),
-                )
+            _require_within(len(supports), DEFAULT_EDGE_CAP, "build found {} supports")
     # keep only inclusion-minimal supports, smallest first so subsets are seen early;
     # bit order is value order, so this is the order of the sorted value tuples.
     # Kept edges are filed under their lowest bit: a kept subset of mask has its
@@ -217,7 +213,6 @@ def max_k_sum_free(
     algo: str = "bb",
     strong: bool = False,
     budget: Optional[float] = None,
-    edge_cap: int = DEFAULT_EDGE_CAP,
 ) -> SolveResult:
     """Size and witness of a maximum k-sum-free (or strongly so) subset of s."""
     if budget is not None and budget <= 0:
@@ -228,7 +223,7 @@ def max_k_sum_free(
         raise InvalidParameterError(
             f"brute force is limited to {BRUTE_SIZE_LIMIT} elements, got {len(s)}"
         )
-    graph = build_hypergraph(s, k, strong=strong, edge_cap=edge_cap)
+    graph = build_hypergraph(s, k, strong=strong)
     if algo == "brute":
         result = _solve_brute(s.elements, graph.masks)
     else:

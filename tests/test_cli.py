@@ -107,9 +107,10 @@ def test_extract_erdos_sweep_over_its_cap_exits_three(monkeypatch, capsys, set_f
     # the cap, so splice in an explicit sweep at the seam
     from sumfree.dilation import extract_dilate_exhaustive
 
+    monkeypatch.setattr("sumfree.dilation.DEFAULT_SWEEP_CAP", 100)
     monkeypatch.setattr(
         "sumfree.cli.extract_dilate_exhaustive",
-        lambda s, k: extract_dilate_exhaustive(s, k, method="sweep", sweep_cap=100),
+        lambda s, k: extract_dilate_exhaustive(s, k, method="sweep"),
     )
     path = set_file("a.txt", [10, 20, 30])
     assert main(["extract", "erdos", "--k", "2", "--in", path]) == 3
@@ -269,6 +270,13 @@ def test_measure_build_mu(capsys):
     assert code == 0
     got = parse_measure(capsys.readouterr().out)
     assert got == build_mu(2, 2, 2, uniform_measure, n_start=1)
+
+
+def test_measure_build_mu_past_the_support_cap_exits_three(capsys):
+    assert main(["measure", "build-mu", "--k", "2", "--Q", "1000", "--steps", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "measure support needs 1000000000 points, over the cap of 1000000" in captured.err
 
 
 def test_experiment_defect_csv(capsys):

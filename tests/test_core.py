@@ -330,6 +330,8 @@ GUARDED_CALLS = [
     ("geometric_schedule.start", 1, lambda v: periodic.geometric_schedule(v, 3, 4)),
     ("geometric_schedule.count", 0, lambda v: periodic.geometric_schedule(2, 3, v)),
     ("schedule entry", 1, lambda v: periodic._check_schedule((v,), 1, Fraction(1, 2))),
+    ("fls_step.ap_length", 1,
+     lambda v: periodic.fls_step(_odds, 2, 100, 2, v, Fraction(1, 6))),
     ("check_translate_inequality.n", 1,
      lambda v: periodic.check_translate_inequality(_odds, v, 1, 2, 3, 2)),
     ("check_translate_inequality.x", 1,
@@ -341,6 +343,9 @@ GUARDED_CALLS = [
     ("random_int_set.size", 1, lambda v: harness.random_int_set(_rng, v, 100)),
     ("random_int_set.magnitude", 5, lambda v: harness.random_int_set(_rng, 5, v)),
     ("grow_k_sum_free", 1, lambda v: harness.grow_k_sum_free(2, v)),
+    ("grow_k_sum_free.seed_elements", 1,
+     lambda v: harness.grow_k_sum_free(2, 50, seed_elements=(v,))),
+    ("find_progressions.max_step", 1, lambda v: harness.find_progressions(_odds, 50, 2, v)),
     ("run_ratio_experiment", 1, lambda v: experiments.run_ratio_experiment(2, v)),
     ("run_defect_experiment.a", 1, lambda v: experiments.run_defect_experiment(v, 2)),
     ("run_defect_experiment.m_max", 1, lambda v: experiments.run_defect_experiment(2, v)),

@@ -146,7 +146,7 @@ def test_descent_meets_guarantee_and_never_beats_sweep(values, k):
 
 def test_auto_switches_to_descent_when_sweep_would_be_large():
     s = IntSet.of([10**9 + 1, 2 * 10**9 + 5, 3 * 10**9 + 7])
-    got = extract_dilate_exhaustive(s, 2, sweep_cap=1000)
+    got = extract_dilate_exhaustive(s, 2)
     assert got.method == "descent"
     assert got.score >= math.ceil(Fraction(len(s), 3))
 
@@ -366,9 +366,11 @@ def test_descent_localizes_thirty_elements_below_ten_to_sixty():
     check_descent(s, 2)
 
 
-def test_explicit_sweep_respects_its_cap():
+def test_explicit_sweep_respects_its_cap(monkeypatch):
     s = IntSet.of([10, 20, 30])  # 2*sum(A) + 2 = 122 breakpoints
-    assert extract_dilate_exhaustive(s, 2, method="sweep", sweep_cap=122).method == "sweep"
+    monkeypatch.setattr("sumfree.dilation.DEFAULT_SWEEP_CAP", 122)
+    assert extract_dilate_exhaustive(s, 2, method="sweep").method == "sweep"
+    monkeypatch.setattr("sumfree.dilation.DEFAULT_SWEEP_CAP", 121)
     with pytest.raises(ResourceLimitError) as caught:
-        extract_dilate_exhaustive(s, 2, method="sweep", sweep_cap=121)
+        extract_dilate_exhaustive(s, 2, method="sweep")
     assert caught.value.required == 122

@@ -138,11 +138,13 @@ def test_defect_against_brute_sets():
             assert defect_closed_form(grid, a) == expected
 
 
-def test_defect_routes_agree_past_the_enumeration_cap():
+def test_defect_routes_agree_past_the_enumeration_cap(monkeypatch):
     # a tiny cap forces the vector-counting route; both must agree
-    for a in (1, 2, 10, 30):
-        grid = FolnerGrid(2, 3)
-        assert defect(grid, a, enumeration_cap=1) == defect(grid, a)
+    grid = FolnerGrid(2, 3)
+    enumerated = {a: defect(grid, a) for a in (1, 2, 10, 30)}
+    monkeypatch.setattr("sumfree.folner.DEFAULT_DEFECT_ENUMERATION_CAP", 1)
+    for a, value in enumerated.items():
+        assert defect(grid, a) == value
 
 
 @given(

@@ -14,6 +14,7 @@ from sumfree import (
     InvalidParameterError,
     NuSchedule,
     RationalMeasure,
+    ResourceLimitError,
     build_mu,
     build_nu,
     contraction_index,
@@ -228,6 +229,30 @@ def test_build_mu_validates_provider_mass():
 
     with pytest.raises(InvalidParameterError):
         build_mu(2, 2, 2, broken)
+
+
+def test_build_mu_refuses_a_scale_past_the_support_cap_before_building_it():
+    requests = []
+
+    def recording(n):
+        requests.append(n)
+        return uniform_measure(n)
+
+    # requests 1, 10^3, 10^6, 10^9: the last passes SUPPORT_CAP, so nothing is built
+    with pytest.raises(ResourceLimitError) as caught:
+        build_mu(4, 1000, 2, recording)
+    assert caught.value.required == 10**9
+    assert requests == []
+
+    def oversupplying(n):
+        requests.append(n)
+        return RationalMeasure.from_weights({1000 * n: 1})
+
+    # supports reach 10^3 and then 10^7, so the third request, 10^8, is refused
+    with pytest.raises(ResourceLimitError) as caught:
+        build_mu(4, 10, 2, oversupplying)
+    assert caught.value.required == 10**8
+    assert requests == [1, 10**4]
 
 
 def test_contraction_index_examples():

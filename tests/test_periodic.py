@@ -8,6 +8,7 @@ the translate inequality).
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -418,6 +419,17 @@ def test_instance_serialization_round_trip():
     assert again == inst
     assert serialize_instance(again) == text
     assert '"eps"' in text
+
+
+def test_parse_instance_refuses_coerced_values_and_keeps_harness_instances():
+    inst = random_drop_instance(3, random.Random(11), mirrored=True)
+    text = serialize_instance(inst)
+    assert parse_instance(text) == inst
+    for field, value in [("n0", 55.7), ("ap_step", "2"), ("eps", 0.05)]:
+        payload = json.loads(text)
+        payload[field] = value
+        with pytest.raises(InvalidParameterError, match=field):
+            parse_instance(json.dumps(payload))
 
 
 def test_verify_density_drop_seeded_instances():

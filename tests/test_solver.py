@@ -252,15 +252,17 @@ def test_f4_build_at_k3_is_pinned_and_fast():
     assert digest == "bddaa66a1ceab197619e83799e03fe593204a9160890df440f2f26ab0f154f2d"
 
 
-def test_edge_cap_stops_the_build():
+def test_edge_cap_stops_the_build(monkeypatch):
     s = IntSet.of(range(1, 13))
+    monkeypatch.setattr("sumfree.solver.DEFAULT_EDGE_CAP", 5)
     with pytest.raises(ResourceLimitError) as err:
-        build_hypergraph(s, 2, edge_cap=5)
+        build_hypergraph(s, 2)
     assert err.value.required == 6
     with pytest.raises(ResourceLimitError) as err:
-        max_k_sum_free(s, 2, edge_cap=5)
+        max_k_sum_free(s, 2)
     assert err.value.required == 6
-    assert build_hypergraph(s, 2, edge_cap=10**4).edges
+    monkeypatch.setattr("sumfree.solver.DEFAULT_EDGE_CAP", 10**4)
+    assert build_hypergraph(s, 2).edges
 
 
 def test_independence_ignores_values_outside_the_vertices():
