@@ -12,16 +12,24 @@ kept simple enough to trust as an oracle and guaranteeing the
 lexicographically smallest optimal witness, and a branch-and-bound
 (``bb``) that branches on the vertex lying in the most active edges and
 prunes with a greedy disjoint-edge bound; its unit propagation takes one
-pass, because forcing a vertex out never creates a new unit.  ``bb``
-honors a wall-clock budget: on expiry the best set found so far is
-returned as a certified lower bound rather than an optimum.
+pass, because forcing a vertex out never creates a new unit.  Each ``bb``
+node is built from its parent, not from the full edge list: the include
+child clears the branch vertex from the parent's residual edges, the
+exclude child drops the residuals holding it, and ``alive`` (a bitmask over
+edge positions) loses the edge column of each vertex forced out, so a
+degree is one popcount of a column masked by ``alive``.  ``bb`` honors a
+wall-clock budget of positive finite seconds: on expiry the best set found
+so far is returned as a certified lower bound rather than an optimum.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Optional
 
 from .core import (
@@ -160,29 +168,38 @@ def _solve_bb(
     edges_with = _edges_by_vertex(n, masks)
     best_mask = _greedy_seed(n, edges_with)
     best_size = best_mask.bit_count()
+    # column[i]: the positions of the edges that hold vertex i, as a bitmask
+    column = [0] * n
+    for pos, m in enumerate(masks):
+        for i in _bits(m):
+            column[i] |= 1 << pos
     deadline = None if budget is None else time.monotonic() + budget
     status = "optimal"
     nodes = 0
-    stack: list[tuple[int, int]] = [(0, 0)]
+    # a node carries its parent's residuals (edges not meeting `out`, minus
+    # `chosen`, in edge order) and `alive`, the positions of those edges
+    stack = [(0, 0, list(masks), (1 << len(masks)) - 1)]
     while stack:
         nodes += 1
         if deadline is not None and nodes & 255 == 0 and time.monotonic() > deadline:
             status = "timeout-lower-bound"
             break
-        chosen, out = stack.pop()
+        chosen, out, residuals, alive = stack.pop()
+        # `out` never meets `chosen`, so a fully chosen edge stays active as a 0
+        if 0 in residuals:
+            continue
         # unit propagation: an active edge with one vertex outside `chosen` forces
         # it out.  One pass suffices: units depend on `chosen` alone, and forcing
         # a vertex out only switches off edges that have a vertex outside `chosen`.
-        # `out` never meets `chosen`, so a fully chosen edge stays active as a 0.
-        residuals = [m & ~chosen for m in masks if not m & out]
-        if 0 in residuals:
-            continue
         units = 0
         for r in residuals:
             if r & (r - 1) == 0:
                 units |= r
-        out |= units
-        residuals = [r for r in residuals if not r & units]
+        if units:
+            out |= units
+            residuals = [r for r in residuals if not r & units]
+            for i in _bits(units):
+                alive &= ~column[i]
         used = 0
         matching = 0
         for r in residuals:
@@ -195,15 +212,16 @@ def _solve_bb(
             best_size = n - out.bit_count()
             best_mask = all_mask & ~out
             continue
-        degree: dict[int, int] = {}
-        for r in residuals:
-            while r:
-                bit = r & -r
-                degree[bit] = degree.get(bit, 0) + 1
-                r ^= bit
-        branch_bit = max(sorted(degree), key=lambda b: degree[b])
-        stack.append((chosen, out | branch_bit))
-        stack.append((chosen | branch_bit, out))
+        # the degree of a vertex is its count of alive edges; ties go to the lowest
+        branch, top = 0, 0
+        for i in _bits(reduce(or_, residuals)):
+            degree = (column[i] & alive).bit_count()
+            if degree > top:
+                branch, top = i, degree
+        bit = 1 << branch
+        excluded = [r for r in residuals if not r & bit]
+        stack.append((chosen, out | bit, excluded, alive & ~column[branch]))
+        stack.append((chosen | bit, out, [r & ~bit for r in residuals], alive))
     return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, status)
 
 
@@ -215,8 +233,10 @@ def max_k_sum_free(
     budget: Optional[float] = None,
 ) -> SolveResult:
     """Size and witness of a maximum k-sum-free (or strongly so) subset of s."""
-    if budget is not None and budget <= 0:
-        raise InvalidParameterError(f"time budget must be positive, got {budget}")
+    if budget is not None and (type(budget) not in (int, float) or not 0 < budget < math.inf):
+        raise InvalidParameterError(
+            f"time budget must be a positive finite number of seconds, got {budget!r}"
+        )
     if algo not in ("bb", "brute"):
         raise InvalidParameterError(f"unknown solver algo {algo!r}")
     if algo == "brute" and len(s) > BRUTE_SIZE_LIMIT:

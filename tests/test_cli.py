@@ -12,7 +12,9 @@ import pytest
 from sumfree import (
     Falsified,
     IntSet,
+    InvalidParameterError,
     format_set_text,
+    max_k_sum_free,
     parse_instance,
     parse_measure,
     parse_set_text,
@@ -346,6 +348,22 @@ def test_solve_max_timeout_prints_the_lower_bound(capsys, set_file):
     assert "status=timeout-lower-bound" in head
     witness = parse_set_text(body)
     assert head.startswith(f"size={len(witness)} ")
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "0", "-1"])
+def test_bad_time_budgets_are_parameter_errors(capsys, set_file, budget):
+    # a NaN budget never expires and an infinite one never can, so both would
+    # solve without a limit; the library refuses bools too, which argparse cannot pass
+    s = IntSet.of([1, 2, 3])
+    for value in (float(budget), True, "1"):
+        with pytest.raises(InvalidParameterError, match="time budget must be"):
+            max_k_sum_free(s, 2, budget=value)
+    path = set_file("a.txt", [1, 2, 3])
+    assert main(["solve", "max", "--k", "2", "--in", path, f"--timeout={budget}"]) == 2
+    assert main(["experiment", "ratio", "--k", "2", "--m-max", "2", f"--budget={budget}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("time budget must be") == 2
 
 
 @pytest.mark.parametrize(

@@ -233,6 +233,45 @@ def test_solver_outputs_are_pinned():
     assert digest == "9bfd8b346736e0dc3aed662e9f8f94a6fc0e0d4bbd6fbc2700d91e57eb7079e0"
 
 
+def _unit_heavy_corpus():
+    # hundreds of edges at k = 3, so most nodes force vertices out by propagation
+    rng = random.Random("bb-unit-heavy")
+    cases = []
+    for size, top in ((38, 150), (40, 170), (41, 185), (42, 200)):
+        cases.append((IntSet.of(rng.sample(range(1, top), size)), 3, False))
+    cases.append((generate(FolnerGrid.diagonal(3)), 3, True))
+    return cases
+
+
+def test_bb_outputs_on_unit_heavy_instances_are_pinned():
+    rows = []
+    for s, k, strong in _unit_heavy_corpus():
+        assert len(build_hypergraph(s, k, strong=strong).masks) >= 150
+        r = max_k_sum_free(s, k, strong=strong)
+        rows.append((r.size, r.witness.elements, r.nodes, r.status))
+    assert [row[2] for row in rows] == [657, 531, 2435, 1471, 299]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "74e13f1de1bea27f7fc3de3e396fda3b72bc9fdc79d4548aa1b7f95f1b12b90a"
+
+
+def test_bb_matches_brute_at_the_brute_size_cap():
+    rng = random.Random("bb-brute-cap")
+    for i in range(12):
+        s = IntSet.of(rng.sample(range(1, 120), 26 + i % 5))
+        k, strong = 2 + i % 3, i % 4 == 3
+        a = max_k_sum_free(s, k, algo="brute", strong=strong)
+        b = max_k_sum_free(s, k, algo="bb", strong=strong)
+        assert a.size == b.size
+        assert a.status == b.status == "optimal"
+
+
+def test_timeout_on_f4_returns_a_certified_lower_bound():
+    r = max_k_sum_free(generate(FolnerGrid.diagonal(4)), 2, budget=0.5)
+    assert r.status == "timeout-lower-bound"
+    assert r.size == len(r.witness)
+    assert is_k_sum_free(r.witness, 2)
+
+
 def test_edge_mask_examples():
     h = build_hypergraph(IntSet.of([1, 2, 3]), 2)
     assert h.masks == (0b011,)
