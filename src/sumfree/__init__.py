@@ -33,7 +33,6 @@ from .dilation import (
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 from .folner import (
     FolnerGrid,
-    contains,
     defect,
     defect_closed_form,
     first_primes,
@@ -72,15 +71,12 @@ from .periodic import (
     parse_instance,
     periodic_hull,
     serialize_instance,
-    upper_density_on_multiples_periodic,
     verify_density_drop,
 )
 from .solver import (
     ForbiddenHypergraph,
-    MaxFractionResult,
     SolveResult,
     build_hypergraph,
-    max_fraction,
     max_k_sum_free,
 )
 

@@ -31,7 +31,7 @@ from .experiments import (
     run_extraction_experiment,
     run_ratio_experiment,
 )
-from .folner import DEFAULT_GENERATE_CAP, FolnerGrid, defect, defect_closed_form, generate
+from .folner import FolnerGrid, defect, defect_closed_form, generate
 from .harness import grow_k_sum_free, random_drop_instance, random_inequality_case
 from .measures import build_mu, serialize_measure, uniform_measure
 from .periodic import (
@@ -40,6 +40,7 @@ from .periodic import (
     Falsified,
     PeriodicContainment,
     check_translate_inequality,
+    density,
     fls_step,
     min_ap_length,
     periodic_hull,
@@ -124,7 +125,7 @@ def _cmd_extract_folner(args) -> int:
 
 def _cmd_folner_gen(args) -> int:
     grid = FolnerGrid.parse(args.grid)
-    f = generate(grid, args.cap)
+    f = generate(grid)
     if args.out is not None:
         write_set_file(args.out, f)
         print(f"wrote {len(f)} elements to {args.out}")
@@ -219,7 +220,7 @@ def _cmd_experiment_fls_soak(args) -> int:
         s = grow_k_sum_free(k, 600, rng=rng, include_probability=rng.uniform(0.4, 1.0))
         n0 = rng.randrange(30, 80)
         eps = Fraction(1, rng.randrange(8, 30))
-        if s.upto(n0) and len(s.upto(n0)) * Fraction(1, n0) >= Fraction(1, k + 1) + eps:
+        if density(s, n0) >= Fraction(1, k + 1) + eps:
             q = rng.randrange(1, 9)
             out = fls_step(s, k, n0, q, min_ap_length(k, eps), eps)
             outcomes[out.tag] = outcomes.get(out.tag, 0) + 1
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = folner_sub.add_parser("gen", help="enumerate a grid")
     gen.add_argument("--grid", required=True, help="grid shape: m or r,b")
     gen.add_argument("--out", default=None)
-    gen.add_argument("--cap", type=int, default=DEFAULT_GENERATE_CAP)
     gen.set_defaults(handler=_cmd_folner_gen)
     defect_cmd = folner_sub.add_parser("defect", help="dilation defect of a grid")
     defect_cmd.add_argument("--grid", required=True, help="grid shape: m or r,b")

@@ -19,6 +19,8 @@ whose largest element exceeds it is always enumerated.
 ``_require_int`` is the one parameter guard: the package's integer
 counts, moduli, horizons, scales and arities pass through it, so a bool,
 a float or a value below the minimum raises InvalidParameterError.
+``_require_rational`` does the same for eps and ratios, which must be an int
+or a Fraction, so no float enters a decision.
 ``_require_within`` is the one resource guard: every cap that stops a call
 is checked through it, and only it raises ResourceLimitError.
 """
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional
@@ -42,6 +45,12 @@ _ENUMERATION_STEP_BITS = 2048
 def _require_int(value: int, what: str, low: int = 1) -> None:
     if type(value) is not int or value < low:
         raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
+
+
+def _require_rational(value: Fraction, what: str) -> Fraction:
+    if type(value) not in (int, Fraction):
+        raise InvalidParameterError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def _require_within(required: int, cap: int, what: str) -> None:

@@ -15,9 +15,9 @@ from typing import Optional
 
 from .core import _require_int
 from .dilation import extract_dilate_exhaustive
-from .folner import FolnerGrid, defect, defect_closed_form
+from .folner import FolnerGrid, defect, defect_closed_form, generate
 from .harness import random_int_set
-from .solver import max_fraction
+from .solver import max_k_sum_free
 
 
 def rational_string(value: Fraction) -> str:
@@ -43,12 +43,12 @@ def run_ratio_experiment(
     rows = ["m,grid_size,max_size,fraction_exact,fraction_decimal,status,solver_nodes,wall_time"]
     for m in range(1, m_max + 1):
         started = time.monotonic()
-        result = max_fraction(FolnerGrid.diagonal(m), k, budget=budget)
+        result = max_k_sum_free(generate(FolnerGrid.diagonal(m)), k, budget=budget)
         elapsed = f"{time.monotonic() - started:.3f}" if timing else "-"
+        fraction = Fraction(result.size, m**m)
         rows.append(
-            f"{m},{m**m},{result.solve.size},{rational_string(result.fraction)},"
-            f"{decimal_string(result.fraction)},{result.solve.status},"
-            f"{result.solve.nodes},{elapsed}"
+            f"{m},{m**m},{result.size},{rational_string(fraction)},"
+            f"{decimal_string(fraction)},{result.status},{result.nodes},{elapsed}"
         )
     return "\n".join(rows) + "\n"
 

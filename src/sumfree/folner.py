@@ -93,23 +93,10 @@ def _products(grid: FolnerGrid) -> list[int]:
     return values
 
 
-def generate(grid: FolnerGrid, cap: int = DEFAULT_GENERATE_CAP) -> IntSet:
-    """Enumerate the full grid, refusing to materialize more than ``cap`` elements."""
-    _require_within(grid.size(), cap, "grid has {} elements")
+def generate(grid: FolnerGrid) -> IntSet:
+    """Enumerate the full grid, refusing one of more than DEFAULT_GENERATE_CAP elements."""
+    _require_within(grid.size(), DEFAULT_GENERATE_CAP, "grid has {} elements")
     return IntSet.of(_products(grid))
-
-
-def contains(grid: FolnerGrid, n: int) -> Optional[tuple[int, ...]]:
-    """Exponent vector of n in the grid, or None.
-
-    Membership is decided by trial division by the grid primes alone, so this
-    never factors n in full.
-    """
-    _require_int(n, "membership candidate")
-    exponents = _factor_over(grid.primes, n)
-    if exponents is None or any(e >= grid.exponent_bound for e in exponents.values()):
-        return None
-    return tuple(exponents.values())
 
 
 def _factor_over(primes: tuple[int, ...], a: int) -> Optional[dict]:

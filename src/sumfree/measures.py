@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import IntSet, _require_arity, _require_int, _require_within
+from .core import IntSet, _require_arity, _require_int, _require_rational, _require_within
 from .errors import FalsificationError, InvalidParameterError
 
 SUPPORT_CAP = 10**6
@@ -101,8 +101,8 @@ class NuSchedule:
     The full-strength growth conditions (scale ratios at least 16k/eps,
     block gaps at least 2k n_{i_s}/eps, and t at least 2/eps) are what the
     density-transport argument needs; they are reported by
-    ``strength_violations`` and enforced only on request, because toy
-    schedules that ignore them are still perfectly good measures.
+    ``strength_violations`` and not enforced, because toy schedules that
+    ignore them are still perfectly good measures.
     """
 
     n_sequence: tuple[int, ...]
@@ -124,7 +124,7 @@ class NuSchedule:
                 raise InvalidParameterError("block boundaries must be strictly increasing")
         if self.block_ends[-1] >= len(self.n_sequence):
             raise InvalidParameterError("block boundaries run past the scale sequence")
-        if Fraction(self.eps) <= 0:
+        if _require_rational(self.eps, "eps") <= 0:
             raise InvalidParameterError(f"eps must be positive, got {self.eps}")
         _require_arity(self.k)
 
@@ -147,12 +147,8 @@ class NuSchedule:
         return found
 
 
-def build_nu(schedule: NuSchedule, strict: bool = False) -> RationalMeasure:
+def build_nu(schedule: NuSchedule) -> RationalMeasure:
     """Average of per-block averages of uniform measures over the schedule."""
-    if strict:
-        violations = schedule.strength_violations()
-        if violations:
-            raise InvalidParameterError(f"schedule violates growth condition: {violations[0]}")
     top_scale = schedule.n_sequence[schedule.block_ends[-1]]
     _require_within(top_scale, SUPPORT_CAP, "measure support needs {} points")
     t = schedule.t
@@ -223,7 +219,7 @@ def build_mu(
 def contraction_index(k: int, eps: Fraction) -> int:
     """Least i with (k/(k+1))**i <= 2*eps."""
     _require_arity(k)
-    eps = Fraction(eps)
+    eps = _require_rational(eps, "eps")
     if not 0 < eps < Fraction(1, 2):
         raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
     ratio = Fraction(k, k + 1)

@@ -21,7 +21,8 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    IntSet, _require_arity, _require_int, _require_within, difference_witness, is_k_sum_free
+    IntSet, _require_arity, _require_int, _require_rational, _require_within,
+    difference_witness, is_k_sum_free,
 )
 from .errors import FalsificationError, InvalidParameterError
 
@@ -152,7 +153,7 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     verified exactly.
     """
     _require_arity(k)
-    eps = Fraction(eps)
+    eps = _require_rational(eps, "eps")
     if eps <= 0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     target = Fraction(1, k + 1) + eps / 4
@@ -167,16 +168,6 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     return i
 
 
-def upper_density_on_multiples_periodic(r: ResidueSet) -> Fraction:
-    """Density along deep factorial multiples: 1 if residue 0 is present, else 0.
-
-    For N with Q dividing N!, every multiple of N! lies in the periodic
-    set exactly when 0 is a residue, so the density along that scale is
-    all or nothing.
-    """
-    return Fraction(1) if 0 in r.residues else Fraction(0)
-
-
 def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ...]:
     """count integers growing from start by at least the given ratio each step.
 
@@ -185,7 +176,7 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
     ResourceLimitError before any entry is built.
     """
     _require_int(start, "schedule start")
-    ratio = Fraction(ratio)
+    ratio = _require_rational(ratio, "schedule ratio")
     if ratio <= 1:
         raise InvalidParameterError(f"schedule ratio must exceed 1, got {ratio}")
     _require_int(count, "schedule length", 0)
@@ -219,19 +210,6 @@ class DensityDropInstance:
     eps: Fraction
     schedule: tuple[int, ...]
     k: int
-
-    @property
-    def orientation(self) -> str:
-        return "mirrored" if self.difference > self.ap_start else "forward"
-
-    def b_set(self) -> IntSet:
-        """Members with a progression neighbor in the set.
-
-        Forward orientation looks at a + j*step for j in 1..length, the
-        mirrored orientation at a - j*step.
-        """
-        sign = 1 if self.orientation == "forward" else -1
-        return IntSet.of(_neighboured(self.elements, sign * self.ap_step, self.ap_length))
 
 
 def serialize_instance(instance: DensityDropInstance) -> str:
@@ -330,7 +308,7 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
             f"instance was built for arity {instance.k}, checked with {k}"
         )
     _require_progression(instance.elements, instance.ap_start, instance.ap_step, instance.ap_length)
-    eps = Fraction(instance.eps)
+    eps = _require_rational(instance.eps, "eps")
     if eps <= 0:
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     if not is_k_sum_free(instance.elements, k):
@@ -467,8 +445,8 @@ def fls_step(
     with a replayable instance.  Without a schedule the step scans
     ``geometric_schedule(n0, 16k/eps, k*n0)``.
     """
-    eps = Fraction(eps)
     needed = min_ap_length(k, eps)
+    eps = Fraction(eps)
     _require_int(ap_length, f"progression length for the drop bound at eps {eps}", needed)
     ratio = Fraction(16 * k) / eps
     derived = schedule is None

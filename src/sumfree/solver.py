@@ -20,6 +20,7 @@ edge positions) loses the edge column of each vertex forced out, so a
 degree is one popcount of a column masked by ``alive``.  ``bb`` honors a
 wall-clock budget of positive finite seconds: on expiry the best set found
 so far is returned as a certified lower bound rather than an optimum.
+``brute`` refuses a budget; its size limit is its bound.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import Optional
@@ -36,7 +36,6 @@ from .core import (
     IntSet, is_k_sum_free, is_strongly_k_sum_free, _require_arity, _require_within, _violations
 )
 from .errors import FalsificationError, InvalidParameterError
-from .folner import FolnerGrid, generate
 
 DEFAULT_EDGE_CAP = 10**7
 BRUTE_SIZE_LIMIT = 30
@@ -101,12 +100,6 @@ class SolveResult:
     witness: IntSet
     nodes: int
     status: str  # "optimal" or "timeout-lower-bound"
-
-
-@dataclass(frozen=True)
-class MaxFractionResult:
-    fraction: Fraction
-    solve: SolveResult
 
 
 def _mask_to_set(mask: int, vertices: tuple[int, ...]) -> IntSet:
@@ -239,6 +232,10 @@ def max_k_sum_free(
         )
     if algo not in ("bb", "brute"):
         raise InvalidParameterError(f"unknown solver algo {algo!r}")
+    if algo == "brute" and budget is not None:
+        raise InvalidParameterError(
+            f"brute force takes no time budget; it is bounded by {BRUTE_SIZE_LIMIT} elements"
+        )
     if algo == "brute" and len(s) > BRUTE_SIZE_LIMIT:
         raise InvalidParameterError(
             f"brute force is limited to {BRUTE_SIZE_LIMIT} elements, got {len(s)}"
@@ -252,12 +249,3 @@ def max_k_sum_free(
     if not checker(result.witness, k):
         raise FalsificationError("solver witness fails the sum-freeness predicate")
     return result
-
-
-def max_fraction(
-    grid: FolnerGrid, k: int, budget: Optional[float] = None, algo: str = "bb"
-) -> MaxFractionResult:
-    """Largest k-sum-free fraction of a grid, with the solver's status attached."""
-    f = generate(grid)
-    result = max_k_sum_free(f, k, algo=algo, budget=budget)
-    return MaxFractionResult(Fraction(result.size, len(f)), result)

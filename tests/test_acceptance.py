@@ -27,11 +27,11 @@ from sumfree import (
     defect_closed_form,
     extract_dilate_exhaustive,
     fls_step,
+    generate,
     geometric_schedule,
     interval_is_k_sum_free,
     is_k_sum_free,
     is_strongly_k_sum_free,
-    max_fraction,
     max_k_sum_free,
     pushforward_scale,
     serialize_instance,
@@ -75,13 +75,13 @@ def test_acceptance_3_grid_fraction_trend():
     own optimal answers (three independent search routes agree on it).
     """
     t0 = time.monotonic()
-    one = max_fraction(FolnerGrid.diagonal(1), 2)
-    assert one.fraction == 1
-    two = max_fraction(FolnerGrid.diagonal(2), 2)
-    assert two.fraction == Fraction(1, 2)
-    three = max_fraction(FolnerGrid.diagonal(3), 2, budget=120.0)
-    assert three.solve.status == "optimal"
-    assert three.fraction == Fraction(14, 27)
+    one = max_k_sum_free(generate(FolnerGrid.diagonal(1)), 2)
+    assert Fraction(one.size, 1**1) == 1
+    two = max_k_sum_free(generate(FolnerGrid.diagonal(2)), 2)
+    assert Fraction(two.size, 2**2) == Fraction(1, 2)
+    three = max_k_sum_free(generate(FolnerGrid.diagonal(3)), 2, budget=120.0)
+    assert three.status == "optimal"
+    assert Fraction(three.size, 3**3) == Fraction(14, 27)
     assert time.monotonic() - t0 < 120
 
 

@@ -366,6 +366,20 @@ def test_bad_time_budgets_are_parameter_errors(capsys, set_file, budget):
     assert captured.err.count("time budget must be") == 2
 
 
+def test_brute_refuses_a_time_budget(capsys, set_file):
+    # brute never reads a clock; BRUTE_SIZE_LIMIT is its bound, so a budget would bound nothing
+    with pytest.raises(InvalidParameterError, match="no time budget"):
+        max_k_sum_free(IntSet.of(range(1, 42, 2)), 2, algo="brute", budget=1)
+    path = set_file("small.txt", range(1, 42, 2))
+    argv = ["solve", "max", "--in", path, "--k", "2", "--algo", "brute"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("size=21 status=optimal ")
+    assert main(argv + ["--timeout", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no time budget" in captured.err
+
+
 @pytest.mark.parametrize(
     "k, digest",
     [

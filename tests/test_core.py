@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -308,7 +309,6 @@ GUARDED_CALLS = [
     ("first_primes", 0, lambda v: folner.first_primes(v)),
     ("FolnerGrid.prime_count", 1, lambda v: folner.FolnerGrid(v, 2)),
     ("FolnerGrid.exponent_bound", 1, lambda v: folner.FolnerGrid(2, v)),
-    ("contains", 1, lambda v: folner.contains(_grid, v)),
     ("defect_closed_form", 1, lambda v: folner.defect_closed_form(_grid, v)),
     ("defect", 1, lambda v: folner.defect(_grid, v)),
     ("set_dilation_defect", 1, lambda v: folner.set_dilation_defect(_odds, v)),
@@ -362,3 +362,30 @@ def test_integer_parameters_reject_bools_floats_and_values_below_the_minimum(low
     bad = {"bool": True, "float": 2.5, "below-minimum": low - 1}[kind]
     with pytest.raises(InvalidParameterError, match="integer"):
         call(bad)
+
+
+_drop = harness.random_drop_instance(2, random.Random(5))
+
+# (id, call) for each eps or ratio behind core._require_rational
+RATIONAL_CALLS = [
+    ("min_ap_length", lambda v: periodic.min_ap_length(2, v)),
+    ("fls_step", lambda v: periodic.fls_step(_odds, 2, 100, 2, 3, v)),
+    ("verify_density_drop", lambda v: periodic.verify_density_drop(replace(_drop, eps=v), 2)),
+    ("geometric_schedule", lambda v: periodic.geometric_schedule(2, v, 4)),
+    ("NuSchedule", lambda v: measures.NuSchedule((1,), (0,), v, 2)),
+    ("contraction_index", lambda v: measures.contraction_index(2, v)),
+]
+
+
+@pytest.mark.parametrize(
+    "bad", [1 / 6, True, "1/6", float("nan"), float("inf")],
+    ids=["float", "bool", "str", "nan", "inf"],
+)
+@pytest.mark.parametrize("call", [c[1] for c in RATIONAL_CALLS], ids=[c[0] for c in RATIONAL_CALLS])
+def test_eps_and_ratios_reject_floats_bools_strings_nan_and_inf(call, bad):
+    with pytest.raises(InvalidParameterError, match="must be an int or a Fraction"):
+        call(bad)
+
+
+def test_an_int_ratio_reads_as_its_fraction():
+    assert periodic.geometric_schedule(2, 3, 2) == periodic.geometric_schedule(2, Fraction(3), 2)

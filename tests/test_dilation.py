@@ -27,7 +27,7 @@ from sumfree import (
     max_k_sum_free,
     uniform_measure,
 )
-from sumfree.dilation import _sweep
+from sumfree.dilation import DEFAULT_SWEEP_CAP, _sweep
 
 
 def slice_members(s: IntSet, x: Fraction, lo: Fraction, hi: Fraction) -> IntSet:
@@ -374,3 +374,30 @@ def test_explicit_sweep_respects_its_cap(monkeypatch):
     with pytest.raises(ResourceLimitError) as caught:
         extract_dilate_exhaustive(s, 2, method="sweep")
     assert caught.value.required == 122
+
+
+def _sets_at_the_sweep_cap(count):
+    """Seeded sets whose sweep needs exactly DEFAULT_SWEEP_CAP breakpoints."""
+    rng = random.Random("sweep-cap")
+    total = (DEFAULT_SWEEP_CAP - 2) // 2
+    for _ in range(count):
+        # at most 24 values below 1000 sum to under 24,000, so the top is new
+        rest = rng.sample(range(1, 1000), rng.randrange(5, 25))
+        yield IntSet.of(rest + [total - sum(rest)])
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_sweep_and_descent_agree_at_the_sweep_cap(k):
+    for s in _sets_at_the_sweep_cap(4):
+        assert 2 * sum(s.elements) + 2 == DEFAULT_SWEEP_CAP
+        sweep = extract_dilate_exhaustive(s, k)
+        descent = extract_dilate_exhaustive(s, k, method="descent")
+        assert sweep.method == "sweep"
+        assert sweep.score >= descent.score >= math.ceil(Fraction(len(s), k + 1))
+        assert is_k_sum_free(sweep.subset, k) and is_k_sum_free(descent.subset, k)
+        # one more at the top is two breakpoints past the cap
+        raised = IntSet.of(s.elements[:-1] + (s.elements[-1] + 1,))
+        assert extract_dilate_exhaustive(raised, k).method == "descent"
+        with pytest.raises(ResourceLimitError) as caught:
+            extract_dilate_exhaustive(raised, k, method="sweep")
+        assert caught.value.required == DEFAULT_SWEEP_CAP + 2

@@ -1,4 +1,4 @@
-"""Tests for multiplicative grids, membership, and dilation defects."""
+"""Tests for multiplicative grids and dilation defects."""
 
 from __future__ import annotations
 
@@ -14,13 +14,13 @@ from sumfree import (
     IntSet,
     InvalidParameterError,
     ResourceLimitError,
-    contains,
     defect,
     defect_closed_form,
     first_primes,
     generate,
     set_dilation_defect,
 )
+from sumfree.folner import DEFAULT_DEFECT_ENUMERATION_CAP
 
 
 def brute_defect(grid: FolnerGrid, a: int) -> Fraction:
@@ -83,35 +83,8 @@ def test_generate_cardinality_and_sortedness():
 
 def test_generate_cap():
     with pytest.raises(ResourceLimitError) as err:
-        generate(FolnerGrid(9, 9), cap=10**6)
+        generate(FolnerGrid(9, 9))
     assert err.value.required == 9**9
-
-
-def test_contains_examples():
-    g22 = FolnerGrid(2, 2)
-    assert contains(g22, 6) == (1, 1)
-    assert contains(g22, 4) is None
-    assert contains(FolnerGrid(2, 3), 12) == (2, 1)
-    assert contains(g22, 1) == (0, 0)
-    assert contains(g22, 5) is None
-
-
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=4))
-def test_contains_agrees_with_enumeration(r, b):
-    grid = FolnerGrid(r, b)
-    members = set(generate(grid).elements)
-    for n in range(1, 40):
-        vec = contains(grid, n)
-        if n in members:
-            assert vec is not None
-            primes = grid.primes
-            value = 1
-            for p, e in zip(primes, vec):
-                assert 0 <= e < b
-                value *= p**e
-            assert value == n
-        else:
-            assert vec is None
 
 
 def test_defect_examples():
@@ -145,6 +118,34 @@ def test_defect_routes_agree_past_the_enumeration_cap(monkeypatch):
     monkeypatch.setattr("sumfree.folner.DEFAULT_DEFECT_ENUMERATION_CAP", 1)
     for a, value in enumerated.items():
         assert defect(grid, a) == value
+
+
+def test_defect_enumerates_a_grid_of_exactly_the_enumeration_cap(monkeypatch):
+    grid = FolnerGrid(5, 10)
+    assert grid.size() == DEFAULT_DEFECT_ENUMERATION_CAP
+
+    def refuse(grid, a):
+        raise AssertionError("a grid at the cap must be enumerated")
+
+    # 13 lies outside the grid and 2^10 past its exponent bound: both give 2
+    factors = (1, 2, 2 * 3 * 5 * 7 * 11, 3**9, 13, 2**10)
+    expected = {a: defect_closed_form(grid, a) for a in factors}
+    monkeypatch.setattr("sumfree.folner.defect_closed_form", refuse)
+    assert {a: defect(grid, a) for a in factors} == expected
+
+
+def test_defect_takes_the_closed_form_just_past_the_enumeration_cap(monkeypatch):
+    grid = FolnerGrid(2, 317)
+    assert grid.size() == 100_489 > DEFAULT_DEFECT_ENUMERATION_CAP
+    f = generate(grid)
+    factors = (1, 6, 2**316, 3**317, 5)
+    expected = {a: set_dilation_defect(f, a) for a in factors}
+
+    def refuse(members, a):
+        raise AssertionError("a grid past the cap must take the closed form")
+
+    monkeypatch.setattr("sumfree.folner._injective_defect", refuse)
+    assert {a: defect(grid, a) for a in factors} == expected
 
 
 @given(

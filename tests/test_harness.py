@@ -68,10 +68,9 @@ def test_random_drop_instance_hypotheses_hold():
             assert inst.ap_start + j * inst.ap_step in inst.elements
         assert inst.difference % inst.ap_step == inst.ap_start % inst.ap_step
         if mirrored:
-            assert inst.orientation == "mirrored"
             assert inst.difference > inst.ap_start
         else:
-            assert inst.orientation == "forward"
+            assert inst.difference < inst.ap_start
         eps = Fraction(inst.eps)
         prev = inst.n0
         for n in inst.schedule:

@@ -39,7 +39,6 @@ from sumfree import (
     parse_instance,
     periodic_hull,
     serialize_instance,
-    upper_density_on_multiples_periodic,
     verify_density_drop,
 )
 from sumfree.harness import grow_k_sum_free, random_drop_instance
@@ -213,12 +212,6 @@ def test_drop_expression_limit():
     assert abs(drop_expression(10**6, 2) - Fraction(1, 3)) < Fraction(1, 10**6)
 
 
-def test_upper_density_examples():
-    assert upper_density_on_multiples_periodic(ResidueSet.of(3, [0, 1])) == 1
-    assert upper_density_on_multiples_periodic(ResidueSet.of(2, [1])) == 0
-    assert upper_density_on_multiples_periodic(ResidueSet.of(4, [])) == 0
-
-
 def test_geometric_schedule_shape():
     sch = geometric_schedule(100, Fraction(192), 5)
     assert len(sch) == 5
@@ -390,25 +383,6 @@ def test_fls_step_rejects_bad_hypotheses():
     with pytest.raises(InvalidParameterError):
         # progression length below what this eps needs
         fls_step(odds, k, n0, q, 2, eps, schedule)
-
-
-def test_drop_instance_orientation_and_b_set():
-    odds = IntSet.of(range(1, 200, 2))
-    schedule = geometric_schedule(40, Fraction(192), 80)
-    forward = DensityDropInstance(
-        elements=odds, n0=40, ap_start=21, ap_step=2, ap_length=3,
-        difference=5, eps=Fraction(1, 6), schedule=schedule, k=2,
-    )
-    assert forward.orientation == "forward"
-    expected = {a for a in odds.upto(forward.n0 * 2 * 40) if any(a + j * 2 in odds for j in (1, 2, 3))}
-    assert set(forward.b_set().elements) == expected
-    mirrored = DensityDropInstance(
-        elements=odds, n0=40, ap_start=21, ap_step=2, ap_length=3,
-        difference=95, eps=Fraction(1, 6), schedule=schedule, k=2,
-    )
-    assert mirrored.orientation == "mirrored"
-    # every odd member but 1 has an odd member two below it
-    assert set(mirrored.b_set().elements) == set(range(3, 200, 2))
 
 
 def test_instance_serialization_round_trip():

@@ -22,7 +22,6 @@ from sumfree import (
     generate,
     is_k_sum_free,
     is_strongly_k_sum_free,
-    max_fraction,
     max_k_sum_free,
 )
 from sumfree.solver import BRUTE_SIZE_LIMIT
@@ -198,12 +197,12 @@ def test_parameter_validation():
 
 
 def test_max_fraction_tiny_grids():
-    one = max_fraction(FolnerGrid.diagonal(1), 2)
-    assert one.fraction == 1
-    assert one.solve.status == "optimal"
-    two = max_fraction(FolnerGrid.diagonal(2), 2)
-    assert two.fraction == Fraction(1, 2)
-    assert two.solve.witness.elements == (1, 3)
+    one = max_k_sum_free(generate(FolnerGrid.diagonal(1)), 2)
+    assert Fraction(one.size, 1**1) == 1
+    assert one.status == "optimal"
+    two = max_k_sum_free(generate(FolnerGrid.diagonal(2)), 2)
+    assert Fraction(two.size, 2**2) == Fraction(1, 2)
+    assert two.witness.elements == (1, 3)
 
 
 def _pinned_corpus():
