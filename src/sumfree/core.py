@@ -23,6 +23,7 @@ a float or a value below the minimum raises InvalidParameterError.
 or a Fraction, so no float enters a decision.
 ``_require_within`` is the one resource guard: every cap that stops a call
 is checked through it, and only it raises ResourceLimitError.
+``_bits`` is the one bit-decoding kernel for the package's bitmasks.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def _require_int(value: int, what: str, low: int = 1) -> None:
 def _require_rational(value: Fraction, what: str) -> Fraction:
     if type(value) not in (int, Fraction):
         raise InvalidParameterError(f"{what} must be an int or a Fraction, got {value!r}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _require_within(required: int, cap: int, what: str) -> None:
@@ -129,6 +130,16 @@ class Violation:
             and all(a in s for a in self.summands)
             and self.total in s
         )
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    positions = []
+    while mask:
+        low = mask & -mask
+        positions.append(low.bit_length() - 1)
+        mask ^= low
+    return positions
 
 
 def _bitset_route(elements: tuple[int, ...], k: int) -> bool:

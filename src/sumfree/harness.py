@@ -1,9 +1,10 @@
 """Seeded generators for the randomized corpora used by tests and experiments.
 
 Everything here is deterministic given the supplied random.Random, so a
-corpus is identified by its seed.  The growers maintain bitsets of
-iterated sums, which makes the incremental k-sum-free check exact and
-cheap even near the data horizon.
+corpus is identified by its seed.  The grower keeps bitsets of iterated
+sums and scans candidates upward, so a candidate above every member
+clashes only by being a k-fold sum: one bit test of sums[k].  Thinning
+draws one coin per non-seed candidate, in ascending order.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import IntSet, _require_arity, _require_int, k_difference_set
+from .core import IntSet, _bits, _require_arity, _require_int, k_difference_set
 from .errors import InvalidParameterError
 from .periodic import DensityDropInstance, _progressions, geometric_schedule
 
@@ -25,6 +26,13 @@ def random_int_set(rng: random.Random, size: int, magnitude: int) -> IntSet:
     _require_int(size, "size")
     _require_int(magnitude, f"magnitude for {size} distinct elements", size)
     return IntSet.of(rng.sample(range(1, magnitude + 1), size))
+
+
+def _clashes(sums: list, members: int, x: int, k: int) -> bool:
+    """Whether x is a sum of k members, or c*x plus k-c members is a member."""
+    return bool(sums[k] >> x & 1) or any(
+        sums[k - c] << (c * x) & members for c in range(1, k + 1)
+    )
 
 
 def grow_k_sum_free(
@@ -40,6 +48,8 @@ def grow_k_sum_free(
     Then candidates 1..horizon are taken in order, each kept with the
     given probability when doing so preserves k-sum-freeness.  With
     probability 1 and no seeds this is the deterministic greedy set.
+    Thinning draws one rng.random() per non-seed candidate, ascending, kept
+    or not.  Above the largest seed, x is tested against sums[k] alone.
     """
     _require_arity(k)
     _require_int(horizon, "horizon")
@@ -47,44 +57,37 @@ def grow_k_sum_free(
         raise InvalidParameterError(
             f"include probability must lie in [0, 1], got {include_probability}"
         )
-    if include_probability < 1.0 and rng is None:
+    thin = include_probability < 1.0
+    if thin and rng is None:
         raise InvalidParameterError("thinning requires a random generator")
     window = (1 << (horizon + 1)) - 1
     members = 0
-    sums = [0] * (k + 1)
-    sums[0] = 1
-
-    def addable(x: int) -> bool:
-        if sums[k] >> x & 1:
-            return False
-        for c in range(1, k + 1):
-            if (sums[k - c] << (c * x)) & members:
-                return False
-        return True
-
-    def commit(x: int) -> None:
-        nonlocal members
-        members |= 1 << x
-        for j in range(1, k + 1):
-            sums[j] = (sums[j] | (sums[j - 1] << x)) & window
-
+    sums = [1] + [0] * k  # sums[j]: bitset of the sums of j members, within the window
     for x in seed_elements:
         _require_int(x, "seed element")
         if x > horizon:
             raise InvalidParameterError(f"seed element {x} is outside [1, {horizon}]")
         if members >> x & 1:
             continue
-        if not addable(x):
+        if _clashes(sums, members, x, k):
             raise InvalidParameterError("seed elements are not jointly k-sum-free")
-        commit(x)
-    for x in range(1, horizon + 1):
-        if members >> x & 1:
+        members |= 1 << x
+        for j in range(1, k + 1):
+            sums[j] = (sums[j] | sums[j - 1] << x) & window
+    top = members.bit_length() - 1
+    candidates = [
+        x for x in range(1, horizon + 1)
+        if not members >> x & 1 and (not thin or rng.random() <= include_probability)
+    ]
+    for x in candidates:
+        # With no member above x, c*x plus k-c members exceeds every member, and
+        # every sum that committing x adds exceeds x, so sums[k] at x is final.
+        if sums[k] >> x & 1 or x < top and _clashes(sums, members, x, k):
             continue
-        if include_probability < 1.0 and rng.random() > include_probability:
-            continue
-        if addable(x):
-            commit(x)
-    return IntSet.of(x for x in range(1, horizon + 1) if members >> x & 1)
+        members |= 1 << x
+        for j in range(1, k + 1):
+            sums[j] = (sums[j] | sums[j - 1] << x) & window
+    return IntSet(tuple(_bits(members)))
 
 
 def find_progressions(

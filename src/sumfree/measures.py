@@ -36,7 +36,7 @@ class RationalMeasure:
         clean = {}
         for point, weight in mapping.items():
             _require_int(point, "support point")
-            w = Fraction(weight)
+            w = _require_rational(weight, f"weight at {point}")
             if w < 0:
                 raise InvalidParameterError(f"weights must be >= 0, got {w} at {point}")
             if w > 0:
@@ -63,7 +63,7 @@ def mix(coefficients: Sequence[Fraction], measures: Sequence[RationalMeasure]) -
     """Convex combination; coefficients must be nonnegative and sum to 1 exactly."""
     if len(coefficients) != len(measures) or not measures:
         raise InvalidParameterError("mix needs matching, nonempty coefficient and measure lists")
-    coeffs = [Fraction(c) for c in coefficients]
+    coeffs = [_require_rational(c, "mix coefficient") for c in coefficients]
     if any(c < 0 for c in coeffs):
         raise InvalidParameterError("mix coefficients must be nonnegative")
     if sum(coeffs) != 1:

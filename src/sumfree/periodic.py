@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    IntSet, _require_arity, _require_int, _require_rational, _require_within,
+    IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within,
     difference_witness, is_k_sum_free,
 )
 from .errors import FalsificationError, InvalidParameterError
@@ -115,16 +115,19 @@ def _progressions(
 ) -> Iterator[tuple[int, int]]:
     """(start, step) of each ap_length-term progression in s ∩ [1, n0].
 
-    Steps are taken in the given order, and starts ascending within a step.
+    A shifted AND: with M the bitmask of s ∩ [1, n0], the starts for step m
+    are the set bits of M & M>>m & ... & M>>(ap_length-1)m.  Steps are taken
+    in the given order, and starts ascending within a step.
     """
-    restricted = s.upto(n0).elements
-    members = set(restricted)
+    mask = 0
+    for a in s.upto(n0).elements:
+        mask |= 1 << a
     for m in steps:
-        for x in restricted:
-            if x + (ap_length - 1) * m > n0:
-                break
-            if all(x + j * m in members for j in range(1, ap_length)):
-                yield (x, m)
+        starts = mask
+        for j in range(1, ap_length):
+            starts &= mask >> (j * m)
+        for x in _bits(starts):
+            yield (x, m)
 
 
 def find_ap(s: IntSet, n0: int, ap_length: int, modulus: int) -> Optional[tuple[int, int]]:

@@ -33,22 +33,13 @@ from operator import or_
 from typing import Optional
 
 from .core import (
-    IntSet, is_k_sum_free, is_strongly_k_sum_free, _require_arity, _require_within, _violations
+    IntSet, _bits, _require_arity, _require_within, _violations, is_k_sum_free,
+    is_strongly_k_sum_free,
 )
 from .errors import FalsificationError, InvalidParameterError
 
 DEFAULT_EDGE_CAP = 10**7
 BRUTE_SIZE_LIMIT = 30
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    positions = []
-    while mask:
-        low = mask & -mask
-        positions.append(low.bit_length() - 1)
-        mask ^= low
-    return positions
 
 
 @dataclass(frozen=True)

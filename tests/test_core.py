@@ -366,7 +366,7 @@ def test_integer_parameters_reject_bools_floats_and_values_below_the_minimum(low
 
 _drop = harness.random_drop_instance(2, random.Random(5))
 
-# (id, call) for each eps or ratio behind core._require_rational
+# (id, call) for each eps, ratio, weight or coefficient behind core._require_rational
 RATIONAL_CALLS = [
     ("min_ap_length", lambda v: periodic.min_ap_length(2, v)),
     ("fls_step", lambda v: periodic.fls_step(_odds, 2, 100, 2, 3, v)),
@@ -374,6 +374,8 @@ RATIONAL_CALLS = [
     ("geometric_schedule", lambda v: periodic.geometric_schedule(2, v, 4)),
     ("NuSchedule", lambda v: measures.NuSchedule((1,), (0,), v, 2)),
     ("contraction_index", lambda v: measures.contraction_index(2, v)),
+    ("from_weights", lambda v: measures.RationalMeasure.from_weights({1: v})),
+    ("mix", lambda v: measures.mix([Fraction(1, 2), v], [_uniform, _uniform])),
 ]
 
 
@@ -385,6 +387,12 @@ RATIONAL_CALLS = [
 def test_eps_and_ratios_reject_floats_bools_strings_nan_and_inf(call, bad):
     with pytest.raises(InvalidParameterError, match="must be an int or a Fraction"):
         call(bad)
+
+
+def test_int_weights_and_coefficients_read_as_their_fractions():
+    counting = measures.RationalMeasure.from_weights({2: 1, 5: 3})
+    assert counting.weights == {2: Fraction(1), 5: Fraction(3)} and counting.mass == 4
+    assert measures.mix([1, 0], [_uniform, counting]) == _uniform
 
 
 def test_an_int_ratio_reads_as_its_fraction():

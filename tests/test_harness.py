@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from sumfree import InvalidParameterError, is_k_sum_free
+from sumfree import IntSet, InvalidParameterError, is_k_sum_free, serialize_instance
 from sumfree.harness import (
     find_progressions,
     grow_k_sum_free,
@@ -37,6 +38,57 @@ def test_grower_honors_seed_elements():
     assert is_k_sum_free(s, 2)
     with pytest.raises(InvalidParameterError):
         grow_k_sum_free(2, 50, seed_elements=(2, 4))
+
+
+def reference_grow(k, horizon, rng, include_probability, seed_elements):
+    """The greedy scan by its definition: one coin per non-seed x, then the enumeration route."""
+    chosen = sorted(set(seed_elements))
+    for x in range(1, horizon + 1):
+        if x in seed_elements:
+            continue
+        if include_probability < 1.0 and rng.random() > include_probability:
+            continue
+        if is_k_sum_free(IntSet.of([*chosen, x]), k, bitset_cap=0):
+            chosen.append(x)
+    return IntSet.of(chosen)
+
+
+def test_grower_matches_a_reference_greedy_and_draws_the_same_coins():
+    meta = random.Random(2718)
+    for case in range(180):
+        k = 2 + case % 3
+        horizon = meta.randrange(1, 201)
+        p = (0.0, 0.3, 1.0)[case // 3 % 3]
+        # seeds in the upper half are jointly k-sum-free by size, and lie above the scan point
+        upper = range(horizon // 2 + 1, horizon + 1)
+        seeds = tuple(meta.sample(upper, min(len(upper), meta.randrange(0, 4))))
+        got_rng, want_rng = random.Random(case), random.Random(case)
+        got = grow_k_sum_free(k, horizon, got_rng, p, seeds)
+        assert got == reference_grow(k, horizon, want_rng, p, seeds)
+        assert got_rng.random() == want_rng.random()
+
+
+# sha256 of the generators' outputs, and of the next draw after each call, for seeds 0..19
+GENERATOR_DIGESTS = {
+    ("drop", 2): "e1a8d4f2d44f5421ee7e399c58463e62fa9b4cffbf0aaca19b9ed882ee5ece4e",
+    ("drop", 3): "94ecafd1f468c8b749aee24b5aa01ce0a34cda2b1852bb084527d840928489e2",
+    ("inequality", 2): "0c21264e7048304e51590c96c3784855f213e9f2bf3e3f20cc8acdff4b3bbe71",
+    ("inequality", 3): "f9e3fb560b242c34451370f2272a841eccbdf0ef5ab92fc2059aebb58ec3fa4e",
+}
+
+
+@pytest.mark.parametrize("kind, k", sorted(GENERATOR_DIGESTS))
+def test_generator_outputs_and_draws_are_pinned(kind, k):
+    texts = []
+    for seed in range(20):
+        rng = random.Random(seed)
+        if kind == "drop":
+            texts.append(serialize_instance(random_drop_instance(k, rng, mirrored=seed % 2 == 1)))
+            texts.append(repr(rng.random()))
+        else:
+            s, n, x, m, i = random_inequality_case(k, rng)
+            texts.append(repr((s.elements, n, x, m, i, rng.random())))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == GENERATOR_DIGESTS[kind, k]
 
 
 def test_random_int_set_shape():

@@ -41,7 +41,7 @@ from sumfree import (
     serialize_instance,
     verify_density_drop,
 )
-from sumfree.harness import grow_k_sum_free, random_drop_instance
+from sumfree.harness import find_progressions, grow_k_sum_free, random_drop_instance
 from sumfree import periodic
 from sumfree.periodic import SCHEDULE_BIT_CAP
 
@@ -189,6 +189,35 @@ def test_find_ap_result_is_a_real_progression(values, i, q):
         for j in range(i):
             assert x + j * m in s
         assert x + (i - 1) * m <= 60
+
+
+def naive_progressions(s, n0, ap_length, steps):
+    """Every (start, step) whose ap_length terms all lie in s ∩ [1, n0], by scanning each term."""
+    return [
+        (x, m) for m in steps for x in range(1, n0 + 1)
+        if all(x + j * m <= n0 and x + j * m in s for j in range(ap_length))
+    ]
+
+
+def test_progression_search_matches_an_all_terms_scan():
+    rng = random.Random(41)
+    for trial in range(300):
+        s = IntSet.of(rng.sample(range(20, 120), rng.randrange(0, 60) if trial % 10 else 0))
+        # n0 below min(s), inside its range, and above max(s)
+        n0 = rng.choice([rng.randrange(1, 20), rng.randrange(20, 120), rng.randrange(120, 160)])
+        ap_length = rng.randrange(1, 6)
+        steps = rng.sample(range(1, 25), rng.randrange(1, 6))  # not ascending in general
+        expected = naive_progressions(s, n0, ap_length, steps)
+        assert list(periodic._progressions(s, n0, ap_length, steps)) == expected
+        if ap_length >= 2:
+            max_step = max(steps)
+            assert find_progressions(s, n0, ap_length, max_step) == naive_progressions(
+                s, n0, ap_length, range(1, max_step + 1)
+            )
+        modulus = rng.randrange(1, 40)
+        divisors = [m for m in range(1, modulus + 1) if modulus % m == 0]
+        first = naive_progressions(s, n0, ap_length, divisors)
+        assert find_ap(s, n0, ap_length, modulus) == (first[0] if first else None)
 
 
 def test_min_ap_length_examples():
