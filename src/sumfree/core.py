@@ -20,7 +20,7 @@ whose largest element exceeds it is always enumerated.
 counts, moduli, horizons, scales and arities pass through it, so a bool,
 a float or a value below the minimum raises InvalidParameterError.
 ``_require_rational`` does the same for eps and ratios, which must be an int
-or a Fraction, so no float enters a decision.
+or a Fraction above an optional bound, so no float enters a decision.
 ``_require_within`` is the one resource guard: every cap that stops a call
 is checked through it, and only it raises ResourceLimitError.
 ``_bits`` is the one bit-decoding kernel for the package's bitmasks.
@@ -48,9 +48,10 @@ def _require_int(value: int, what: str, low: int = 1) -> None:
         raise InvalidParameterError(f"{what} must be an integer >= {low}, got {value!r}")
 
 
-def _require_rational(value: Fraction, what: str) -> Fraction:
-    if type(value) not in (int, Fraction):
-        raise InvalidParameterError(f"{what} must be an int or a Fraction, got {value!r}")
+def _require_rational(value: Fraction, what: str, above: Optional[int] = None) -> Fraction:
+    if type(value) not in (int, Fraction) or above is not None and value <= above:
+        bound = "" if above is None else f" > {above}"
+        raise InvalidParameterError(f"{what} must be an int or a Fraction{bound}, got {value!r}")
     return value if type(value) is Fraction else Fraction(value)
 
 

@@ -124,8 +124,7 @@ class NuSchedule:
                 raise InvalidParameterError("block boundaries must be strictly increasing")
         if self.block_ends[-1] >= len(self.n_sequence):
             raise InvalidParameterError("block boundaries run past the scale sequence")
-        if _require_rational(self.eps, "eps") <= 0:
-            raise InvalidParameterError(f"eps must be positive, got {self.eps}")
+        _require_rational(self.eps, "eps", 0)
         _require_arity(self.k)
 
     @property

@@ -17,11 +17,10 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within,
+    IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within, _sums_of,
     difference_witness, is_k_sum_free,
 )
 from .errors import FalsificationError, InvalidParameterError
@@ -77,13 +76,6 @@ def periodic_hull(s: IntSet, n0: int, modulus: int) -> ResidueSet:
     return ResidueSet.of(modulus, s.upto(n0))
 
 
-def _iterated_residue_sums(r: ResidueSet, rounds: int) -> frozenset:
-    sums = {0}
-    for _ in range(rounds):
-        sums = {(t + x) % r.modulus for t in sums for x in r.residues}
-    return frozenset(sums)
-
-
 def is_residue_k_sum_free(r: ResidueSet, k: int) -> bool:
     """No multiset of k residues of r sums, mod Q, to a residue of r.
 
@@ -91,7 +83,7 @@ def is_residue_k_sum_free(r: ResidueSet, k: int) -> bool:
     large representatives realize any residue identity with honest sums.
     """
     _require_arity(k)
-    return _iterated_residue_sums(r, k).isdisjoint(r.residues)
+    return {t % r.modulus for t in _sums_of(tuple(r.residues), k)}.isdisjoint(r.residues)
 
 
 def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
@@ -102,7 +94,7 @@ def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
     defining condition cannot land in r, let alone in the kernel.
     """
     _require_arity(k)
-    shifts = _iterated_residue_sums(r, k - 1)
+    shifts = {t % r.modulus for t in _sums_of(tuple(r.residues), k - 1)}
     kept = frozenset(
         x for x in r.residues
         if all((x + t) % r.modulus not in r.residues for t in shifts)
@@ -156,9 +148,7 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     verified exactly.
     """
     _require_arity(k)
-    eps = _require_rational(eps, "eps")
-    if eps <= 0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    eps = _require_rational(eps, "eps", 0)
     target = Fraction(1, k + 1) + eps / 4
     # (i+k-2) <= target*(i(k+1)+k-3) rearranges to i >= (k-2-target(k-3)) / (target(k+1)-1)
     numer = k - 2 - target * (k - 3)
@@ -179,9 +169,7 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
     ResourceLimitError before any entry is built.
     """
     _require_int(start, "schedule start")
-    ratio = _require_rational(ratio, "schedule ratio")
-    if ratio <= 1:
-        raise InvalidParameterError(f"schedule ratio must exceed 1, got {ratio}")
+    ratio = _require_rational(ratio, "schedule ratio", 1)
     _require_int(count, "schedule length", 0)
     step_bits = (-(-ratio.numerator // ratio.denominator)).bit_length()
     required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
@@ -311,9 +299,7 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
             f"instance was built for arity {instance.k}, checked with {k}"
         )
     _require_progression(instance.elements, instance.ap_start, instance.ap_step, instance.ap_length)
-    eps = _require_rational(instance.eps, "eps")
-    if eps <= 0:
-        raise InvalidParameterError(f"eps must be positive, got {eps}")
+    eps = _require_rational(instance.eps, "eps", 0)
     if not is_k_sum_free(instance.elements, k):
         raise InvalidParameterError("set is not k-sum-free on its data")
     last = instance.ap_start + (instance.ap_length - 1) * instance.ap_step
@@ -406,28 +392,6 @@ class Falsified:
 StepOutcome = PeriodicContainment | DensityDrop | ApNotFound | Falsified
 
 
-def _derive_difference(
-    restricted: IntSet, hull: ResidueSet, x: int, k: int
-) -> int:
-    """A value u - v_1 - ... - v_{k-1} over [1, n0] members, congruent to x mod hull steps.
-
-    Works at residue level: since x's residue escapes the difference
-    kernel, some k-1 residues of the hull push it back into the hull;
-    smallest set representatives realize the identity.
-    """
-    smallest: dict = {}
-    for a in restricted.elements:
-        smallest.setdefault(a % hull.modulus, a)
-    for combo in combinations_with_replacement(sorted(hull.residues), k - 1):
-        target = (x + sum(combo)) % hull.modulus
-        if target in hull.residues:
-            vs = [smallest[t] for t in combo]
-            return smallest[target] - sum(vs)
-    raise FalsificationError(
-        "difference derivation failed although the start residue escapes the kernel"
-    )
-
-
 def fls_step(
     s: IntSet,
     k: int,
@@ -448,8 +412,8 @@ def fls_step(
     with a replayable instance.  Without a schedule the step scans
     ``geometric_schedule(n0, 16k/eps, k*n0)``.
     """
+    eps = _require_rational(eps, "eps", 0)
     needed = min_ap_length(k, eps)
-    eps = Fraction(eps)
     _require_int(ap_length, f"progression length for the drop bound at eps {eps}", needed)
     ratio = Fraction(16 * k) / eps
     derived = schedule is None
@@ -480,7 +444,18 @@ def fls_step(
     if ap is None:
         return ApNotFound()
     x, m = ap
-    d = _derive_difference(restricted, hull, x, k)
+    # x's residue escapes the kernel, so for some sum t of k-1 smallest residue
+    # representatives the representative u of x + t exists; d is the least u - t
+    smallest: dict = {}
+    for a in restricted:
+        smallest.setdefault(a % modulus, a)
+    sums = _sums_of(tuple(smallest.values()), k - 1)
+    found = [smallest[(x + t) % modulus] - t for t in sums if (x + t) % modulus in smallest]
+    if not found:
+        raise FalsificationError(
+            "difference derivation failed although the start residue escapes the kernel"
+        )
+    d = min(found)
     drop_bound = Fraction(1, k + 1) + eps / 2
     if (hit := _first_drop(s, schedule[: k * n0], drop_bound)) is not None:
         return DensityDrop(*hit)

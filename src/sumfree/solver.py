@@ -12,14 +12,14 @@ kept simple enough to trust as an oracle and guaranteeing the
 lexicographically smallest optimal witness, and a branch-and-bound
 (``bb``) that branches on the vertex lying in the most active edges and
 prunes with a greedy disjoint-edge bound; its unit propagation takes one
-pass, because forcing a vertex out never creates a new unit.  Each ``bb``
-node is built from its parent, not from the full edge list: the include
-child clears the branch vertex from the parent's residual edges, the
-exclude child drops the residuals holding it, and ``alive`` (a bitmask over
-edge positions) loses the edge column of each vertex forced out, so a
-degree is one popcount of a column masked by ``alive``.  ``bb`` honors a
-wall-clock budget of positive finite seconds: on expiry the best set found
-so far is returned as a certified lower bound rather than an optimum.
+pass, because forcing a vertex out never creates a new unit.  A ``bb`` node
+``(out, residuals, alive)`` is built from its parent: the include child
+clears the branch vertex from the parent's residual edges, the exclude
+child drops the residuals holding it, and ``alive`` (a bitmask of edge
+positions) loses the edge column of each vertex forced out, so a degree is
+one popcount of a masked column; the greedy seed reads the columns too.
+``bb`` honors a wall-clock budget of positive finite seconds: on expiry the
+best set found so far is returned as a certified lower bound, not an optimum.
 ``brute`` refuses a budget; its size limit is its bound.
 """
 
@@ -97,18 +97,13 @@ def _mask_to_set(mask: int, vertices: tuple[int, ...]) -> IntSet:
     return IntSet(tuple(vertices[i] for i in _bits(mask)))
 
 
-def _edges_by_vertex(n: int, masks: tuple[int, ...]) -> list[list[int]]:
-    """For each vertex index, the edge masks that contain it."""
+def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResult:
+    n = len(vertices)
+    # edges_with[i]: the edge masks that hold vertex i
     edges_with: list[list[int]] = [[] for _ in range(n)]
     for m in masks:
         for i in _bits(m):
             edges_with[i].append(m)
-    return edges_with
-
-
-def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResult:
-    n = len(vertices)
-    edges_with = _edges_by_vertex(n, masks)
     best_size = -1
     best_mask = 0
     nodes = 0
@@ -135,46 +130,41 @@ def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResu
     return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, "optimal")
 
 
-def _greedy_seed(n: int, edges_with: list[list[int]]) -> int:
-    cur = 0
-    for idx in range(n):
-        grown = cur | 1 << idx
-        if all(m & ~grown for m in edges_with[idx]):
-            cur = grown
-    return cur
-
-
 def _solve_bb(
     vertices: tuple[int, ...], masks: tuple[int, ...], budget: Optional[float]
 ) -> SolveResult:
     n = len(vertices)
     all_mask = (1 << n) - 1
-    edges_with = _edges_by_vertex(n, masks)
-    best_mask = _greedy_seed(n, edges_with)
-    best_size = best_mask.bit_count()
     # column[i]: the positions of the edges that hold vertex i, as a bitmask
     column = [0] * n
     for pos, m in enumerate(masks):
         for i in _bits(m):
             column[i] |= 1 << pos
+    # the seed takes each vertex, ascending, that completes no edge
+    best_mask = 0
+    for i in range(n):
+        grown = best_mask | 1 << i
+        if all(masks[pos] & ~grown for pos in _bits(column[i])):
+            best_mask = grown
+    best_size = best_mask.bit_count()
     deadline = None if budget is None else time.monotonic() + budget
     status = "optimal"
     nodes = 0
-    # a node carries its parent's residuals (edges not meeting `out`, minus
-    # `chosen`, in edge order) and `alive`, the positions of those edges
-    stack = [(0, 0, list(masks), (1 << len(masks)) - 1)]
+    # a node carries its parent's residuals (edges not meeting `out`, minus the
+    # vertices taken on this path, in edge order) and `alive`, their positions
+    stack = [(0, list(masks), (1 << len(masks)) - 1)]
     while stack:
         nodes += 1
         if deadline is not None and nodes & 255 == 0 and time.monotonic() > deadline:
             status = "timeout-lower-bound"
             break
-        chosen, out, residuals, alive = stack.pop()
-        # `out` never meets `chosen`, so a fully chosen edge stays active as a 0
+        out, residuals, alive = stack.pop()
+        # `out` never meets a taken vertex, so a fully taken edge stays active as a 0
         if 0 in residuals:
             continue
-        # unit propagation: an active edge with one vertex outside `chosen` forces
-        # it out.  One pass suffices: units depend on `chosen` alone, and forcing
-        # a vertex out only switches off edges that have a vertex outside `chosen`.
+        # unit propagation: an active edge with one vertex not taken forces it out.
+        # One pass suffices: units depend on the taken vertices alone, and forcing a
+        # vertex out only switches off edges that have a vertex not taken.
         units = 0
         for r in residuals:
             if r & (r - 1) == 0:
@@ -204,8 +194,8 @@ def _solve_bb(
                 branch, top = i, degree
         bit = 1 << branch
         excluded = [r for r in residuals if not r & bit]
-        stack.append((chosen, out | bit, excluded, alive & ~column[branch]))
-        stack.append((chosen | bit, out, [r & ~bit for r in residuals], alive))
+        stack.append((out | bit, excluded, alive & ~column[branch]))
+        stack.append((out, [r & ~bit for r in residuals], alive))
     return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, status)
 
 

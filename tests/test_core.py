@@ -389,6 +389,18 @@ def test_eps_and_ratios_reject_floats_bools_strings_nan_and_inf(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "name, bad",
+    [(name, v) for name in ("min_ap_length", "fls_step", "verify_density_drop", "NuSchedule")
+     for v in (0, Fraction(-1, 6))]
+    + [("geometric_schedule", v) for v in (1, Fraction(1, 2))],
+    ids=str,
+)
+def test_eps_at_or_below_zero_and_ratios_at_or_below_one_are_refused(name, bad):
+    with pytest.raises(InvalidParameterError, match="must be an int or a Fraction > "):
+        dict(RATIONAL_CALLS)[name](bad)
+
+
 def test_int_weights_and_coefficients_read_as_their_fractions():
     counting = measures.RationalMeasure.from_weights({2: 1, 5: 3})
     assert counting.weights == {2: Fraction(1), 5: Fraction(3)} and counting.mass == 4

@@ -103,6 +103,29 @@ def test_difference_kernel_examples():
     assert difference_kernel(clean, 2) == clean
 
 
+def test_residue_predicate_and_kernel_match_their_definitions():
+    # the oracle enumerates the multisets of residues and reduces each sum mod q
+    rng = random.Random(12)
+    cases = [(q, set(), k) for q in (1, 7, 40) for k in (2, 3, 4)]
+    cases += [(q, set(range(q)), k) for q in (1, 7, 40) for k in (2, 3, 4)]
+    for _ in range(150):
+        q = rng.randrange(1, 41)
+        share = rng.random()
+        cases.append((q, {x for x in range(q) if rng.random() < share}, rng.choice([2, 3, 4])))
+    for q, residues, k in cases:
+        r = ResidueSet.of(q, residues)
+
+        def hits(x, count):
+            return any(
+                (x + sum(c)) % q in residues
+                for c in combinations_with_replacement(sorted(residues), count)
+            )
+
+        assert is_residue_k_sum_free(r, k) is not hits(0, k)
+        kernel = [x for x in residues if not hits(x, k - 1)]
+        assert difference_kernel(r, k) == ResidueSet.of(q, kernel)
+
+
 @given(
     st.integers(min_value=1, max_value=12),
     st.sets(st.integers(min_value=0, max_value=11)),
@@ -474,6 +497,21 @@ def test_verify_density_drop_accepts_early_hit_on_short_schedule():
         difference=-1, eps=Fraction(1, 200), schedule=schedule, k=2,
     )
     assert verify_density_drop(inst, 2) is True
+
+
+@pytest.mark.parametrize("n0", [60, 75, 90])
+@pytest.mark.parametrize("k", [2, 3])
+def test_falsified_branch_builds_an_instance_whose_hypotheses_hold(monkeypatch, k, n0):
+    # with the drop scan blinded, fls_step reaches its Falsified branch; the
+    # verifier then checks every hypothesis and, blinded too, reports no drop
+    monkeypatch.setattr(periodic, "_first_drop", lambda *args: None)
+    upper, eps = IntSet.of(range(n0 // k + 1, n0 + 1)), Fraction(1, 10)
+    for q in range(2, 9):
+        out = fls_step(upper, k, n0, q, min_ap_length(k, eps), eps)
+        assert isinstance(out, Falsified)
+        instance = out.instance
+        assert (instance.difference - instance.ap_start) % q == 0
+        assert verify_density_drop(instance, k) is False
 
 
 def test_falsified_outcome_carries_instance():
