@@ -10,14 +10,22 @@ smallest element of A.
 Two solvers: a plain depth-first enumeration over subsets (``brute``),
 kept simple enough to trust as an oracle and guaranteeing the
 lexicographically smallest optimal witness, and a branch-and-bound
-(``bb``) that branches on the vertex lying in the most active edges and
-prunes with a greedy disjoint-edge bound; its unit propagation takes one
-pass, because forcing a vertex out never creates a new unit.  A ``bb`` node
-``(out, residuals, alive)`` is built from its parent: the include child
-clears the branch vertex from the parent's residual edges, the exclude
-child drops the residuals holding it, and ``alive`` (a bitmask of edge
-positions) loses the edge column of each vertex forced out, so a degree is
-one popcount of a masked column; the greedy seed reads the columns too.
+(``bb``) that branches on the vertex lying in the most alive edges and
+prunes with a greedy disjoint-edge bound.  Its edges live in a frame:
+the edge masks in one order, each edge's vertex tuple, and each vertex's
+column (the positions of the edges holding it, as a bitmask), which the
+greedy seed reads too.  A ``bb`` node ``(chosen, out, alive, cols,
+frame, taken)`` holds the vertices taken and forced out, ``alive`` (the
+frame positions of the edges not meeting ``out``), the columns with each
+taken vertex's set to 0, and the vertex its parent just took; so a
+degree is one popcount of a masked column, and no node copies an edge
+list.  Every edge has at least 2 vertices (k >= 2 positive summands fall
+short of their total), and unit propagation keeps every alive edge at 2
+or more vertices not taken, so only the include child can gain units, on
+the edges through the vertex it took; one pass suffices, because forcing
+a vertex out never creates a unit.  Once the alive edges fill under 1/8
+of the frame they are renumbered into a new one, in the same order, so
+that each bitmask costs their count rather than the count of all edges.
 ``bb`` honors a wall-clock budget of positive finite seconds: on expiry the
 best set found so far is returned as a certified lower bound, not an optimum.
 ``brute`` refuses a budget; its size limit is its bound.
@@ -28,9 +36,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     IntSet, _bits, _require_arity, _require_within, _violations, is_k_sum_free,
@@ -130,16 +136,23 @@ def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResu
     return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, "optimal")
 
 
+def _frame(n: int, masks: Sequence[int], vertex_tuples: list[tuple[int, ...]]) -> tuple:
+    """Edge masks, their vertex tuples and each vertex's column: the positions
+    of the edges that hold it, as a bitmask over this numbering of the edges."""
+    column = [0] * n
+    for pos, edge in enumerate(vertex_tuples):
+        for i in edge:
+            column[i] |= 1 << pos
+    return masks, vertex_tuples, column
+
+
 def _solve_bb(
     vertices: tuple[int, ...], masks: tuple[int, ...], budget: Optional[float]
 ) -> SolveResult:
     n = len(vertices)
     all_mask = (1 << n) - 1
-    # column[i]: the positions of the edges that hold vertex i, as a bitmask
-    column = [0] * n
-    for pos, m in enumerate(masks):
-        for i in _bits(m):
-            column[i] |= 1 << pos
+    frame = _frame(n, masks, [tuple(_bits(m)) for m in masks])
+    column = frame[2]
     # the seed takes each vertex, ascending, that completes no edge
     best_mask = 0
     for i in range(n):
@@ -150,52 +163,64 @@ def _solve_bb(
     deadline = None if budget is None else time.monotonic() + budget
     status = "optimal"
     nodes = 0
-    # a node carries its parent's residuals (edges not meeting `out`, minus the
-    # vertices taken on this path, in edge order) and `alive`, their positions
-    stack = [(0, list(masks), (1 << len(masks)) - 1)]
+    # a node: the vertices taken and forced out on its path; `alive`, the frame
+    # positions of the edges not meeting `out`; `cols`, the frame's columns with
+    # each taken vertex's set to 0; and `taken`, the vertex its parent took, or -1
+    stack = [(0, 0, (1 << len(masks)) - 1, column, frame, -1)]
     while stack:
         nodes += 1
         if deadline is not None and nodes & 255 == 0 and time.monotonic() > deadline:
             status = "timeout-lower-bound"
             break
-        out, residuals, alive = stack.pop()
-        # `out` never meets a taken vertex, so a fully taken edge stays active as a 0
-        if 0 in residuals:
+        chosen, out, alive, cols, frame, taken = stack.pop()
+        edge_masks, vertex_tuples, column = frame
+        # unit propagation: an alive edge with one vertex not taken forces it out.
+        # Only the edges through the vertex just taken can have come down to one.
+        if taken >= 0:
+            units = 0
+            for pos in _bits(alive & column[taken]):
+                r = edge_masks[pos] & ~chosen
+                if r & (r - 1) == 0:
+                    units |= r
+            if units:
+                out |= units
+                # x ^= x & c clears c's bits from x; on wide ints it beats x &= ~c,
+                # which builds a negative int and its complement first
+                for i in _bits(units):
+                    alive ^= alive & cols[i]
+        # the greedy bound: walk the alive edges in order, picking each that shares
+        # no vertex not taken with an earlier pick (a pick clears its own position,
+        # as it keeps a vertex not taken); prune once the picks leave the vertices
+        # not out no room above the incumbent
+        room = n - out.bit_count() - best_size
+        rest = alive
+        while rest and room > 0:
+            for i in vertex_tuples[(rest & -rest).bit_length() - 1]:
+                rest ^= rest & cols[i]
+            room -= 1
+        if room <= 0:
             continue
-        # unit propagation: an active edge with one vertex not taken forces it out.
-        # One pass suffices: units depend on the taken vertices alone, and forcing a
-        # vertex out only switches off edges that have a vertex not taken.
-        units = 0
-        for r in residuals:
-            if r & (r - 1) == 0:
-                units |= r
-        if units:
-            out |= units
-            residuals = [r for r in residuals if not r & units]
-            for i in _bits(units):
-                alive &= ~column[i]
-        used = 0
-        matching = 0
-        for r in residuals:
-            if not r & used:
-                used |= r
-                matching += 1
-        if n - out.bit_count() - matching <= best_size:
-            continue
-        if not residuals:  # a leaf: the bound is met by taking every vertex not out
+        if not alive:  # a leaf: the bound is met by taking every vertex not out
             best_size = n - out.bit_count()
             best_mask = all_mask & ~out
             continue
+        # renumber the alive edges once they fill under 1/8 of the frame, so that
+        # each bitmask operation costs their count, not the count of all edges
+        count = alive.bit_count()
+        if count * 8 < len(edge_masks):
+            positions = _bits(alive)
+            frame = _frame(
+                n, [edge_masks[p] for p in positions], [vertex_tuples[p] for p in positions]
+            )
+            cols = [0 if chosen >> i & 1 else c for i, c in enumerate(frame[2])]
+            alive = (1 << count) - 1
         # the degree of a vertex is its count of alive edges; ties go to the lowest
-        branch, top = 0, 0
-        for i in _bits(reduce(or_, residuals)):
-            degree = (column[i] & alive).bit_count()
-            if degree > top:
-                branch, top = i, degree
-        bit = 1 << branch
-        excluded = [r for r in residuals if not r & bit]
-        stack.append((out | bit, excluded, alive & ~column[branch]))
-        stack.append((out, [r & ~bit for r in residuals], alive))
+        degrees = [(c & alive).bit_count() for c in cols]
+        branch = degrees.index(max(degrees))
+        stack.append((chosen, out | 1 << branch, alive ^ (alive & cols[branch]), cols, frame, -1))
+        cols = cols.copy()
+        cols[branch] = 0
+        stack.append((chosen | 1 << branch, out, alive, cols, frame, branch))
     return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, status)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -24,6 +25,7 @@ from sumfree import (
     is_strongly_k_sum_free,
     max_k_sum_free,
 )
+from sumfree import solver
 from sumfree.solver import BRUTE_SIZE_LIMIT
 
 
@@ -269,6 +271,42 @@ def test_timeout_on_f4_returns_a_certified_lower_bound():
     assert r.status == "timeout-lower-bound"
     assert r.size == len(r.witness)
     assert is_k_sum_free(r.witness, 2)
+
+
+@pytest.mark.parametrize(
+    "k, strong, ticks, nodes, digest",
+    [
+        (2, False, 77, 19968, "26ff446643dd51852d1c7e0cbef66159388e8f2b0e1489f28af7d061a2d78c0c"),
+        (3, False, 15, 4096, "93e3893051e79b134d3a315f34b87dc52621e79cb126fb5b03222305412c2eba"),
+        (3, True, 15, 4096, "547bd1af30f2e9593ad87b561c1ddda49e04e42f21cb802bd0095365705d99d6"),
+    ],
+)
+def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, digest):
+    # a clock that ticks once per read: bb reads it once at the start and then
+    # every 256 nodes, so a budget of B ticks stops it after exactly 256 (B + 1)
+    # nodes, whatever the machine.  These runs reach deep enough that bb
+    # renumbers its edges many times; the incumbent, its witness and the count
+    # pin the search order through them.
+    f4 = generate(FolnerGrid.diagonal(4))
+    monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
+    r = max_k_sum_free(f4, k, strong=strong, budget=ticks)
+    assert (r.nodes, r.status) == (nodes, "timeout-lower-bound")
+    row = (r.size, r.witness.elements, r.nodes, r.status)
+    assert hashlib.sha256(repr(row).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("strong", [False, True])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_edge_has_at_least_two_vertices(k, strong):
+    # bb's unit rule relies on it: k >= 2 positive summands fall short of their
+    # total, so no support is a single element
+    rng = random.Random(f"edge-width/{k}/{strong}")
+    sets = [IntSet.of(rng.sample(range(1, 60 + 20 * i), 12 + 3 * i)) for i in range(8)]
+    sets.append(generate(FolnerGrid.diagonal(3)))
+    for s in sets:
+        masks = build_hypergraph(s, k, strong=strong).masks
+        assert masks
+        assert all(m.bit_count() >= 2 for m in masks)
 
 
 def test_edge_mask_examples():
