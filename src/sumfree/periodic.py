@@ -81,9 +81,10 @@ def is_residue_k_sum_free(r: ResidueSet, k: int) -> bool:
 
     Equivalent to the represented periodic set being k-sum-free in N:
     large representatives realize any residue identity with honest sums.
+    Decided as difference_kernel(r, k) == r, since a sum of k residues is
+    one residue plus k-1 more.
     """
-    _require_arity(k)
-    return {t % r.modulus for t in _sums_of(tuple(r.residues), k)}.isdisjoint(r.residues)
+    return difference_kernel(r, k) == r
 
 
 def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
@@ -204,17 +205,12 @@ class DensityDropInstance:
 
 
 def serialize_instance(instance: DensityDropInstance) -> str:
-    payload = {
-        "elements": list(instance.elements.elements),
-        "n0": instance.n0,
-        "ap_start": instance.ap_start,
-        "ap_step": instance.ap_step,
-        "ap_length": instance.ap_length,
-        "difference": instance.difference,
-        "eps": f"{instance.eps.numerator}/{instance.eps.denominator}",
-        "schedule": list(instance.schedule),
-        "k": instance.k,
-    }
+    payload = {name: getattr(instance, name) for name in DensityDropInstance.__dataclass_fields__}
+    payload.update(
+        elements=list(instance.elements.elements),
+        eps=f"{instance.eps.numerator}/{instance.eps.denominator}",
+        schedule=list(instance.schedule),
+    )
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -432,14 +428,12 @@ def fls_step(
         )
     if not derived:  # a derived schedule meets the ratio by construction
         _check_schedule(schedule, n0, ratio)
-    hull = periodic_hull(s, n0, modulus)
-    if is_residue_k_sum_free(hull, k):
-        return PeriodicContainment(hull)
-    kernel = difference_kernel(hull, k)
     restricted = s.upto(n0)
-    candidates = IntSet.of(
-        a for a in restricted if a % modulus not in kernel.residues
-    )
+    hull = ResidueSet.of(modulus, restricted)
+    kernel = difference_kernel(hull, k)
+    if kernel == hull:
+        return PeriodicContainment(hull)
+    candidates = IntSet(tuple(a for a in restricted if a % modulus not in kernel.residues))
     ap = find_ap(candidates, n0, ap_length, modulus)
     if ap is None:
         return ApNotFound()

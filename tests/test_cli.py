@@ -6,6 +6,7 @@ import hashlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from sumfree import (
     IntSet,
     InvalidParameterError,
     format_set_text,
+    geometric_schedule,
     max_k_sum_free,
     parse_instance,
     parse_measure,
@@ -184,16 +186,41 @@ def test_periodic_fls_step_density_drop(capsys, set_file):
     assert "outcome=density-drop index=1 density=1/384" in out
 
 
-def test_periodic_fls_step_bad_eps_is_parameter_error(capsys, set_file):
+def test_periodic_fls_step_ap_not_found(capsys, set_file):
+    # the odd numbers hit every residue mod 3 but hold no 3-term progression of step 1 or 3
     path = set_file("odds.txt", range(1, 1001, 2))
-    code = main(
-        [
-            "periodic", "fls-step", "--k", "2", "--Q", "2", "--i", "3",
-            "--eps", "0/1", "--n0", "100", "--in", path,
-        ]
-    )
-    assert code == 2
-    assert "error:" in capsys.readouterr().err
+    argv = ["periodic", "fls-step", "--k", "2", "--n0", "100", "--Q", "3",
+            "--eps", "1/6", "--i", "3", "--in", path]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "outcome=ap-not-found\n"
+
+
+@pytest.mark.parametrize("values, modulus", [(range(1, 1001, 2), "2"), (range(51, 101), "7")])
+def test_periodic_fls_step_explicit_default_schedule_prints_the_same(
+    capsys, set_file, values, modulus
+):
+    path = set_file("a.txt", values)
+    argv = ["periodic", "fls-step", "--k", "2", "--n0", "100", "--Q", modulus,
+            "--eps", "1/6", "--i", "3", "--in", path]
+    assert main(argv) == 0
+    derived = capsys.readouterr().out
+    # the default is geometric_schedule(n0, 16k/eps, k*n0)
+    schedule = ",".join(map(str, geometric_schedule(100, 16 * 2 / Fraction(1, 6), 2 * 100)))
+    assert main(argv + ["--schedule", schedule]) == 0
+    assert capsys.readouterr().out == derived
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--eps", "0/1"), ("--eps", "1/0"), ("--schedule", "1,x")]
+)
+def test_periodic_fls_step_bad_option_is_parameter_error(capsys, set_file, option, value):
+    path = set_file("odds.txt", range(1, 1001, 2))
+    argv = ["periodic", "fls-step", "--k", "2", "--n0", "100", "--Q", "2",
+            "--eps", "1/6", "--i", "3", "--in", path, option, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_periodic_fls_step_over_the_schedule_cap_exits_3(capsys, set_file):

@@ -126,6 +126,60 @@ def test_residue_predicate_and_kernel_match_their_definitions():
         assert difference_kernel(r, k) == ResidueSet.of(q, kernel)
 
 
+def k_fold_residue_sums_miss(residues: set, q: int, k: int) -> bool:
+    """The k-fold residue-sum check: no sum of k residues lands, mod q, back in the set."""
+    sums = {0}
+    for _ in range(k):
+        sums = {(t + x) % q for t in sums for x in residues}
+    return sums.isdisjoint(residues)
+
+
+def test_kernel_decides_residue_sum_freeness_like_the_k_fold_sums():
+    # moduli up to 500, where enumerating multisets is out of reach: thinned
+    # one-mod-k classes of a multiple of k (k-sum-free), the same with a
+    # stray residue, random sets of any share and a few random residues
+    rng = random.Random(14)
+    verdicts = []
+    for case in range(80):
+        k = rng.choice([2, 3, 4])
+        q = rng.randrange(2, 501)
+        if case % 4 < 2:
+            q = k * (q // k or 1)
+            residues = {x for x in range(q) if x % k == 1 and rng.random() < 0.8}
+            if case % 4 == 1:
+                residues.add(rng.randrange(q))
+        elif case % 4 == 2:
+            share = rng.random()
+            residues = {x for x in range(q) if rng.random() < share}
+        else:
+            residues = set(rng.sample(range(q), min(q, rng.randrange(1, 7))))
+        expected = k_fold_residue_sums_miss(residues, q, k)
+        assert is_residue_k_sum_free(ResidueSet.of(q, residues), k) is expected
+        verdicts.append(expected)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 20
+
+
+def test_fls_step_contains_exactly_when_the_k_fold_sums_miss_the_hull():
+    # one-mod-k sets (some thinned) and upper intervals, k-sum-free and dense
+    # enough for the step; large moduli leave a partial hull
+    rng = random.Random(15)
+    eps = Fraction(1, 60)
+    verdicts = []
+    for _ in range(40):
+        k = rng.choice([2, 3, 4])
+        n0 = rng.randrange(60, 301)
+        q = rng.choice([k * rng.randrange(1, 501 // k), rng.randrange(2, 501)])
+        if rng.random() < 0.5:
+            s = IntSet.of(x for x in range(1, n0 + 1) if x % k == 1 and rng.random() < 0.95)
+        else:
+            s = IntSet.of(range(n0 // k + 1, n0 + 1))
+        hull = {a % q for a in s.upto(n0)}
+        out = fls_step(s, k, n0, q, min_ap_length(k, eps), eps)
+        assert isinstance(out, PeriodicContainment) is k_fold_residue_sums_miss(hull, q, k)
+        verdicts.append(isinstance(out, PeriodicContainment))
+    assert min(verdicts.count(True), verdicts.count(False)) >= 8
+
+
 @given(
     st.integers(min_value=1, max_value=12),
     st.sets(st.integers(min_value=0, max_value=11)),
