@@ -19,6 +19,7 @@ from .core import (
     format_set_text,
     is_k_sum_free,
     is_strongly_k_sum_free,
+    rational_string,
     read_set_file,
     write_set_file,
 )
@@ -26,7 +27,6 @@ from .dilation import extract_dilate_exhaustive, extract_dilate_folner
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 from .experiments import (
     decimal_string,
-    rational_string,
     run_defect_experiment,
     run_extraction_experiment,
     run_ratio_experiment,
@@ -58,13 +58,6 @@ def _parse_eps(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"cannot parse eps {text!r}: {exc}") from None
     return value
-
-
-def _parse_schedule(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise InvalidParameterError(f"cannot parse schedule {text!r}: {exc}") from None
 
 
 def _cmd_check(args) -> int:
@@ -99,8 +92,7 @@ def _cmd_solve_max(args) -> int:
 
 def _cmd_extract_erdos(args) -> int:
     result = extract_dilate_exhaustive(read_set_file(args.infile), args.k)
-    dilator = Fraction(result.dilator)
-    print(f"dilator={rational_string(dilator)}")
+    print(f"dilator={rational_string(result.dilator)}")
     print(f"score={result.score}")
     print(f"method={result.method}")
     sys.stdout.write(format_set_text(result.subset))
@@ -156,9 +148,7 @@ def _cmd_periodic_hull(args) -> int:
 
 def _cmd_periodic_fls_step(args) -> int:
     s = read_set_file(args.infile)
-    eps = _parse_eps(args.eps)
-    schedule = None if args.schedule is None else _parse_schedule(args.schedule)
-    outcome = fls_step(s, args.k, args.n0, args.modulus, args.i, eps, schedule)
+    outcome = fls_step(s, args.k, args.n0, args.modulus, args.i, _parse_eps(args.eps))
     if isinstance(outcome, PeriodicContainment):
         residues = ",".join(str(r) for r in sorted(outcome.hull.residues))
         print(f"outcome={outcome.tag} modulus={outcome.hull.modulus} residues={residues}")
@@ -320,11 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     step.add_argument("--i", type=int, required=True)
     step.add_argument("--eps", required=True, help="exact rational, e.g. 1/6")
     step.add_argument("--n0", type=int, required=True)
-    step.add_argument(
-        "--schedule",
-        default=None,
-        help="comma-separated integers; default: k*n0 entries at the ratio 16k/eps",
-    )
     step.add_argument("--in", dest="infile", required=True)
     step.add_argument("--falsified-out", dest="falsified_out", default=DEFAULT_FALSIFIED_PATH)
     step.set_defaults(handler=_cmd_periodic_fls_step)

@@ -311,6 +311,12 @@ def parse_set_text(text: str) -> IntSet:
     return IntSet.of(values)
 
 
+def rational_string(value: Fraction) -> str:
+    """The exact "n/d" form of a rational, in lowest terms."""
+    value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
+
+
 def format_set_text(s: IntSet) -> str:
     return "".join(f"{a}\n" for a in s.elements)
 

@@ -158,7 +158,8 @@ def _sweep(elements: tuple[int, ...], k: int) -> tuple[int, Fraction]:
     puts exits before entries at a shared breakpoint.  The count after an
     event is then never above the count of the interval its breakpoint opens,
     so the first event reaching the maximum sits on the first maximizing
-    interval's left end.
+    interval's left end, from which ``_region_midpoint`` finds the midpoint,
+    as it does for the descent.
     """
     p = k * k - 1
     lcm = math.lcm(*elements)
@@ -177,11 +178,7 @@ def _sweep(elements: tuple[int, ...], k: int) -> tuple[int, Fraction]:
                 best, best_at = count, idx
         else:
             count -= 1
-    left = events[best_at] >> 1
-    idx = best_at + 1
-    while events[idx] >> 1 == left:
-        idx += 1
-    return best, Fraction(left + (events[idx] >> 1), 2 * p * lcm)
+    return best, _region_midpoint(elements, k, p, lcm, events[best_at] >> 1, p * lcm)
 
 
 def _descend(elements: tuple[int, ...], k: int) -> Fraction:
@@ -294,17 +291,14 @@ def extract_dilate_measure(
         raise InvalidParameterError(f"designated subset is not {k}-sum-free")
     inner_members = inner._members
     support = m.support()
-    best_x = None
-    best_weight = Fraction(-1)
-    best_subset: tuple[int, ...] = ()
-    for x in f.elements:
-        subset = tuple(a for a in support if a * x in inner_members)
-        weight = sum((m.weight_at(a) for a in subset), Fraction(0))
-        if best_x is None or weight > best_weight:
-            best_x = x
-            best_weight = weight
-            best_subset = subset
-    assert best_x is not None
+
+    def slice_at(x: int) -> tuple[int, ...]:
+        return tuple(a for a in support if a * x in inner_members)
+
+    # max keeps the first x of greatest weight, in ascending order
+    best_x = max(f.elements, key=lambda x: sum(map(m.weight_at, slice_at(x)), Fraction(0)))
+    best_subset = slice_at(best_x)
+    best_weight = sum(map(m.weight_at, best_subset), Fraction(0))
     density = Fraction(len(inner), len(f))
     bound = density * m.mass - sum(
         m.weight_at(a) * set_dilation_defect(f, a) for a in support

@@ -13,16 +13,11 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .core import _require_int
+from .core import _require_int, rational_string
 from .dilation import extract_dilate_exhaustive
 from .folner import FolnerGrid, defect, defect_closed_form, generate
 from .harness import random_int_set
 from .solver import max_k_sum_free
-
-
-def rational_string(value: Fraction) -> str:
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def decimal_string(value: Fraction) -> str:

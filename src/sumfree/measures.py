@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .core import IntSet, _require_arity, _require_int, _require_rational, _require_within
+from .core import (
+    IntSet, _require_arity, _require_int, _require_rational, _require_within, rational_string,
+)
 from .errors import FalsificationError, InvalidParameterError
 
 SUPPORT_CAP = 10**6
@@ -232,11 +234,7 @@ def contraction_index(k: int, eps: Fraction) -> int:
 
 def serialize_measure(m: RationalMeasure) -> str:
     """One line per support point: 'point numerator/denominator', sorted by point."""
-    lines = []
-    for point in sorted(m.weights):
-        w = m.weights[point]
-        lines.append(f"{point} {w.numerator}/{w.denominator}\n")
-    return "".join(lines)
+    return "".join(f"{point} {rational_string(w)}\n" for point, w in sorted(m.weights.items()))
 
 
 def parse_measure(text: str) -> RationalMeasure:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within, _sums_of,
-    difference_witness, is_k_sum_free,
+    difference_witness, is_k_sum_free, rational_string,
 )
 from .errors import FalsificationError, InvalidParameterError
 
@@ -60,14 +60,6 @@ class ResidueSet:
 
     def __len__(self) -> int:
         return len(self.residues)
-
-    def elements_upto(self, n: int) -> IntSet:
-        """The positive members of the periodic set that are <= n."""
-        found = []
-        for r in sorted(self.residues):
-            first = r if r >= 1 else self.modulus
-            found.extend(range(first, n + 1, self.modulus))
-        return IntSet.of(found)
 
 
 def periodic_hull(s: IntSet, n0: int, modulus: int) -> ResidueSet:
@@ -205,36 +197,36 @@ class DensityDropInstance:
 
 
 def serialize_instance(instance: DensityDropInstance) -> str:
+    """JSON with an "n/d" eps and "0x" hex schedule entries, which no digit limit stops."""
     payload = {name: getattr(instance, name) for name in DensityDropInstance.__dataclass_fields__}
     payload.update(
         elements=list(instance.elements.elements),
-        eps=f"{instance.eps.numerator}/{instance.eps.denominator}",
-        schedule=list(instance.schedule),
+        eps=rational_string(instance.eps),
+        schedule=[hex(n) for n in instance.schedule],
     )
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def parse_instance(text: str) -> DensityDropInstance:
-    """Read what ``serialize_instance`` writes: JSON integers and an "n/d" eps, coercing nothing."""
+    """Read what ``serialize_instance`` writes, in exactly its forms, coercing nothing."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InvalidParameterError(f"instance is not valid JSON: {exc}") from None
     try:
         fields = {name: payload[name] for name in DensityDropInstance.__dataclass_fields__}
         for name, low in (("n0", 1), ("ap_start", 1), ("ap_step", 1), ("ap_length", 1), ("k", 2)):
             _require_int(fields[name], name, low)
-        for j, n in enumerate(fields["schedule"]):
-            _require_int(n, f"schedule entry {j}")
+        schedule = tuple(int(n, 16) if type(n) is str else 0 for n in fields["schedule"])
+        if any(n < 1 or hex(n) != text for n, text in zip(schedule, fields["schedule"])):
+            raise InvalidParameterError("schedule entries must be '0x' hex integers >= 1")
         difference, eps = fields["difference"], fields["eps"]
         if type(difference) is not int:
             raise InvalidParameterError(f"difference must be an integer, got {difference!r}")
         value = Fraction(eps) if type(eps) is str else None
-        if value is None or f"{value.numerator}/{value.denominator}" != eps:
+        if value is None or rational_string(value) != eps:
             raise InvalidParameterError(f"eps must be an 'n/d' string in lowest terms, got {eps!r}")
-        fields.update(
-            elements=IntSet.of(fields["elements"]), eps=value, schedule=tuple(fields["schedule"])
-        )
+        fields.update(elements=IntSet.of(fields["elements"]), eps=value, schedule=schedule)
         return DensityDropInstance(**fields)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"malformed instance payload: {exc}") from None

@@ -195,21 +195,7 @@ def test_periodic_fls_step_ap_not_found(capsys, set_file):
     assert capsys.readouterr().out == "outcome=ap-not-found\n"
 
 
-@pytest.mark.parametrize("values, modulus", [(range(1, 1001, 2), "2"), (range(51, 101), "7")])
-def test_periodic_fls_step_explicit_default_schedule_prints_the_same(
-    capsys, set_file, values, modulus
-):
-    path = set_file("a.txt", values)
-    argv = ["periodic", "fls-step", "--k", "2", "--n0", "100", "--Q", modulus,
-            "--eps", "1/6", "--i", "3", "--in", path]
-    assert main(argv) == 0
-    derived = capsys.readouterr().out
-    # the default is geometric_schedule(n0, 16k/eps, k*n0)
-    schedule = ",".join(map(str, geometric_schedule(100, 16 * 2 / Fraction(1, 6), 2 * 100)))
-    assert main(argv + ["--schedule", schedule]) == 0
-    assert capsys.readouterr().out == derived
-
-
+# fls-step always derives its schedule, so argparse refuses --schedule as unrecognized
 @pytest.mark.parametrize(
     "option, value", [("--eps", "0/1"), ("--eps", "1/0"), ("--schedule", "1,x")]
 )
@@ -260,6 +246,23 @@ def test_periodic_fls_step_falsified_writes_instance(
     out = capsys.readouterr().out
     assert "outcome=falsified" in out
     assert parse_instance(target.read_text()) == inst
+
+
+def test_periodic_fls_step_falsified_writes_an_instance_past_the_digit_limit(
+    monkeypatch, tmp_path, capsys, set_file
+):
+    # blind the drop scan: the derived schedule at k = 3, n0 = 1000, eps = 1/20
+    # ends near 8,950 decimal digits, past CPython's int-to-string limit
+    monkeypatch.setattr("sumfree.periodic._first_drop", lambda *args: None)
+    path = set_file("third.txt", range(334, 1001))
+    target = tmp_path / "falsified.json"
+    argv = ["periodic", "fls-step", "--k", "3", "--n0", "1000", "--Q", "500", "--eps", "1/20",
+            "--i", "20", "--in", path, "--falsified-out", str(target)]
+    assert main(argv) == 4
+    assert "outcome=falsified" in capsys.readouterr().out
+    schedule = parse_instance(target.read_text()).schedule
+    assert schedule == geometric_schedule(1000, Fraction(960), 3000)
+    assert schedule[-1] > 10**8900
 
 
 def test_experiment_fls_soak_prints_the_three_wave_summaries(capsys):

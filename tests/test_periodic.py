@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -225,7 +226,7 @@ def test_kernel_translate_counting_bound():
         assert x <= k * q
         n0 = rng.randrange(20, 150)
         kernel = difference_kernel(r, k)
-        base = set(kernel.elements_upto(n0).elements)
+        base = {a for a in range(1, n0 + 1) if a % q in kernel.residues}
         shifts = [0]
         for j in range(1, k + 1):
             shifts.append((j - 1) * x + sum(xs[: k - j]))
@@ -499,6 +500,29 @@ def test_instance_serialization_round_trip():
     assert again == inst
     assert serialize_instance(again) == text
     assert '"eps"' in text
+
+
+def test_instance_round_trip_past_the_int_to_string_digit_limit():
+    # entries of 5001 and 10001 decimal digits, past CPython's default 4300
+    schedule = geometric_schedule(1, Fraction(10**5000), 2)
+    inst = replace(random_drop_instance(2, random.Random(5)), schedule=schedule)
+    text = serialize_instance(inst)
+    assert json.loads(text)["schedule"] == [hex(n) for n in schedule]
+    assert parse_instance(text) == inst
+
+
+@pytest.mark.parametrize("entry", [1, "1", "0x0", "-0x1", "0X1", "0x01", "0x_1", " 0x1", "0xg"])
+def test_parse_instance_refuses_any_other_schedule_entry(entry):
+    payload = json.loads(serialize_instance(random_drop_instance(2, random.Random(5))))
+    payload["schedule"][0] = entry
+    with pytest.raises(InvalidParameterError):
+        parse_instance(json.dumps(payload))
+
+
+def test_parse_instance_refuses_an_integer_past_the_digit_limit():
+    text = serialize_instance(random_drop_instance(2, random.Random(5)))
+    with pytest.raises(InvalidParameterError, match="not valid JSON"):
+        parse_instance(text.replace('"n0": ', '"n0": ' + "9" * 5000, 1))
 
 
 def test_parse_instance_refuses_coerced_values_and_keeps_harness_instances():
