@@ -429,7 +429,11 @@ def fls_step(
     ap = find_ap(candidates, n0, ap_length, modulus)
     if ap is None:
         return ApNotFound()
+    drop_bound = Fraction(1, k + 1) + eps / 2
+    if (hit := _first_drop(s, schedule[: k * n0], drop_bound)) is not None:
+        return DensityDrop(*hit)
     x, m = ap
+    # only a Falsified instance reads d, so it is derived after the scan fails.
     # x's residue escapes the kernel, so for some sum t of k-1 smallest residue
     # representatives the representative u of x + t exists; d is the least u - t
     smallest: dict = {}
@@ -441,17 +445,13 @@ def fls_step(
         raise FalsificationError(
             "difference derivation failed although the start residue escapes the kernel"
         )
-    d = min(found)
-    drop_bound = Fraction(1, k + 1) + eps / 2
-    if (hit := _first_drop(s, schedule[: k * n0], drop_bound)) is not None:
-        return DensityDrop(*hit)
     instance = DensityDropInstance(
         elements=s,
         n0=n0,
         ap_start=x,
         ap_step=m,
         ap_length=ap_length,
-        difference=d,
+        difference=min(found),
         eps=eps / (16 * k),
         schedule=schedule,
         k=k,

@@ -13,8 +13,11 @@ lexicographically smallest optimal witness, and a branch-and-bound
 (``bb``) that branches on the vertex lying in the most alive edges and
 prunes with a greedy disjoint-edge bound.  Its edges live in a frame:
 the edge masks in one order, each edge's vertex tuple, and each vertex's
-column (the positions of the edges holding it, as a bitmask), which the
-greedy seed reads too.  A ``bb`` node ``(chosen, out, alive, cols,
+column (the positions of the edges holding it, as a bitmask).  The seed,
+``bb``'s first incumbent, is the larger of an ascending and a descending
+greedy pass, ties to ascending; each pass takes every vertex that
+completes no edge, reading each vertex's edges as ``brute`` does.
+A ``bb`` node ``(chosen, out, alive, cols,
 frame, taken)`` holds the vertices taken and forced out, ``alive`` (the
 frame positions of the edges not meeting ``out``), the columns with each
 taken vertex's set to 0, and the vertex its parent just took; so a
@@ -60,11 +63,6 @@ class ForbiddenHypergraph:
         elements = self.vertices.elements
         return tuple(tuple(elements[i] for i in _bits(m)) for m in self.masks)
 
-    def is_independent(self, subset: IntSet) -> bool:
-        members = subset._members
-        chosen = sum(1 << i for i, v in enumerate(self.vertices.elements) if v in members)
-        return all(m & chosen != m for m in self.masks)
-
 
 def build_hypergraph(s: IntSet, k: int, strong: bool = False) -> ForbiddenHypergraph:
     """All minimal forbidden supports for k (or for every arity 2..k if strong)."""
@@ -103,13 +101,18 @@ def _mask_to_set(mask: int, vertices: tuple[int, ...]) -> IntSet:
     return IntSet(tuple(vertices[i] for i in _bits(mask)))
 
 
-def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResult:
-    n = len(vertices)
-    # edges_with[i]: the edge masks that hold vertex i
+def _edges_with(n: int, masks: Sequence[int]) -> list[list[int]]:
+    """For each vertex, the edge masks that hold it, in edge order."""
     edges_with: list[list[int]] = [[] for _ in range(n)]
     for m in masks:
         for i in _bits(m):
             edges_with[i].append(m)
+    return edges_with
+
+
+def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResult:
+    n = len(vertices)
+    edges_with = _edges_with(n, masks)
     best_size = -1
     best_mask = 0
     nodes = 0
@@ -153,12 +156,20 @@ def _solve_bb(
     all_mask = (1 << n) - 1
     frame = _frame(n, masks, [tuple(_bits(m)) for m in masks])
     column = frame[2]
-    # the seed takes each vertex, ascending, that completes no edge
-    best_mask = 0
-    for i in range(n):
-        grown = best_mask | 1 << i
-        if all(masks[pos] & ~grown for pos in _bits(column[i])):
-            best_mask = grown
+    # greedy passes, ascending then descending, each taking every vertex that
+    # completes no edge; small vertices make the most sums, so the descending
+    # pass is often the larger. max keeps the first of equals: ties go ascending.
+    # They read edge lists, as decoding a wide column costs its width per bit
+    edges_with = _edges_with(n, masks)
+    seeds = []
+    for order in (range(n), range(n - 1, -1, -1)):
+        seed = 0
+        for i in order:
+            grown = seed | 1 << i
+            if all(m & ~grown for m in edges_with[i]):
+                seed = grown
+        seeds.append(seed)
+    best_mask = max(seeds, key=int.bit_count)
     best_size = best_mask.bit_count()
     deadline = None if budget is None else time.monotonic() + budget
     status = "optimal"

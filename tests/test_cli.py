@@ -413,8 +413,8 @@ def test_brute_refuses_a_time_budget(capsys, set_file):
 @pytest.mark.parametrize(
     "k, digest",
     [
-        ("2", "237c19f0f835c47384149fcbd2dfbaabb5c070a521e2516738afc09b9d497450"),
-        ("3", "c33c1b4406e4113e019999f4b2066c595c1eb408e778fb5b0f352899a6203330"),
+        ("2", "70a83131b2b6f7cdca3755ecd6da48477613166d5a1d3754a32b397620862e60"),
+        ("3", "150f1bd07d4c7a2e751a48b23a5c8216fa4dc73c6b4864925a71700c0fe3a4a1"),
     ],
 )
 def test_experiment_ratio_output_is_pinned(capsys, k, digest):

@@ -84,7 +84,8 @@ def test_independence_iff_sum_free(values, k, rng):
     s = IntSet.of(values)
     h = build_hypergraph(s, k)
     sub = IntSet.of(a for a in values if rng.random() < 0.6)
-    assert h.is_independent(sub) == is_k_sum_free(sub, k)
+    chosen = sum(1 << i for i, v in enumerate(h.vertices.elements) if v in sub)
+    assert all(m & chosen != m for m in h.masks) == is_k_sum_free(sub, k)
 
 
 def test_solver_examples():
@@ -229,9 +230,9 @@ def test_solver_outputs_are_pinned():
             r = max_k_sum_free(s, k, algo=algo, strong=strong)
             rows.append((r.size, r.witness.elements, r.nodes, r.status))
     assert len(rows) == 127
-    assert rows[0][0] == 14 and rows[0][2] == 195
+    assert rows[0][0] == 14 and rows[0][2] == 109
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "9bfd8b346736e0dc3aed662e9f8f94a6fc0e0d4bbd6fbc2700d91e57eb7079e0"
+    assert digest == "a920da1a7ec5bbe27f8ee02d48e1c2913143cecc2d6ed9ba279323207917065a"
 
 
 def _unit_heavy_corpus():
@@ -250,9 +251,9 @@ def test_bb_outputs_on_unit_heavy_instances_are_pinned():
         assert len(build_hypergraph(s, k, strong=strong).masks) >= 150
         r = max_k_sum_free(s, k, strong=strong)
         rows.append((r.size, r.witness.elements, r.nodes, r.status))
-    assert [row[2] for row in rows] == [657, 531, 2435, 1471, 299]
+    assert [row[2] for row in rows] == [17, 51, 27, 23, 257]
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "74e13f1de1bea27f7fc3de3e396fda3b72bc9fdc79d4548aa1b7f95f1b12b90a"
+    assert digest == "5d2db76ac59f8cc64bd0d857d84427fb2461bcc69f861dd4730cd7d85fe8a29e"
 
 
 def test_bb_matches_brute_at_the_brute_size_cap():
@@ -276,9 +277,9 @@ def test_timeout_on_f4_returns_a_certified_lower_bound():
 @pytest.mark.parametrize(
     "k, strong, ticks, nodes, digest",
     [
-        (2, False, 77, 19968, "26ff446643dd51852d1c7e0cbef66159388e8f2b0e1489f28af7d061a2d78c0c"),
+        (2, False, 77, 19968, "5332dac85d9e7be4812a7c0e2335b304c60e1bbbaed2d5bef35d5c5c78f53ffe"),
         (3, False, 15, 4096, "93e3893051e79b134d3a315f34b87dc52621e79cb126fb5b03222305412c2eba"),
-        (3, True, 15, 4096, "547bd1af30f2e9593ad87b561c1ddda49e04e42f21cb802bd0095365705d99d6"),
+        (3, True, 15, 4096, "b1f173a74e7b04df1322666f4ae64505492866078ded36be5197797a88f84a37"),
     ],
 )
 def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, digest):
@@ -293,6 +294,45 @@ def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, di
     assert (r.nodes, r.status) == (nodes, "timeout-lower-bound")
     row = (r.size, r.witness.elements, r.nodes, r.status)
     assert hashlib.sha256(repr(row).encode()).hexdigest() == digest
+
+
+def test_f4_incumbent_reaches_the_best_known_112(monkeypatch):
+    # the descending greedy pass already holds 112 elements of F_4 at k = 2,
+    # the best known, so bb returns it however soon its budget runs out; a
+    # budget of 1 tick stops it after 512 nodes
+    monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
+    r = max_k_sum_free(generate(FolnerGrid.diagonal(4)), 2, budget=1)
+    assert (r.nodes, r.status) == (512, "timeout-lower-bound")
+    assert r.size >= 112
+    assert r.size == len(r.witness)
+    assert is_k_sum_free(r.witness, 2)
+
+
+def greedy_size(elements, k, strong):
+    """The size of the greedy pass over elements in the given order, by the predicate."""
+    check = is_strongly_k_sum_free if strong else is_k_sum_free
+    taken = []
+    for x in elements:
+        if check(IntSet.of(taken + [x]), k):
+            taken.append(x)
+    return len(taken)
+
+
+def test_bb_matches_brute_when_the_descending_seed_is_larger():
+    # on these sets bb starts from the descending pass, not the ascending one
+    rng = random.Random("bb-descending-seed")
+    cases = 0
+    for i in range(29):
+        s = IntSet.of(rng.sample(range(1, 80 + 4 * (i % 20)), 16 + i % 15))
+        k, strong = 2 + i % 3, i % 3 == 1
+        if greedy_size(s.elements[::-1], k, strong) <= greedy_size(s.elements, k, strong):
+            continue
+        cases += 1
+        a = max_k_sum_free(s, k, algo="brute", strong=strong)
+        b = max_k_sum_free(s, k, algo="bb", strong=strong)
+        assert a.size == b.size
+        assert a.status == b.status == "optimal"
+    assert cases == 24
 
 
 @pytest.mark.parametrize("strong", [False, True])
@@ -339,11 +379,3 @@ def test_edge_cap_stops_the_build(monkeypatch):
     assert err.value.required == 6
     monkeypatch.setattr("sumfree.solver.DEFAULT_EDGE_CAP", 10**4)
     assert build_hypergraph(s, 2).edges
-
-
-def test_independence_ignores_values_outside_the_vertices():
-    h = build_hypergraph(IntSet.of([1, 2, 3]), 2)
-    assert h.is_independent(IntSet.of([1, 3, 100]))
-    assert not h.is_independent(IntSet.of([1, 2, 100]))
-    assert h.is_independent(IntSet.of([50]))
-    assert h.is_independent(IntSet.of([]))
