@@ -112,11 +112,6 @@ class IntSet:
         _require_int(n, "restriction bound", 0)
         return IntSet(self.elements[: bisect_right(self.elements, n)])
 
-    def dilate(self, c: int) -> "IntSet":
-        """The set {c*a : a in A} for a positive integer c."""
-        _require_int(c, "dilation factor")
-        return IntSet(tuple(c * a for a in self.elements))
-
 
 @dataclass(frozen=True)
 class Violation:

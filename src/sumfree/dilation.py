@@ -69,13 +69,10 @@ def interval_is_k_sum_free(k: int) -> bool:
     """Exact check that k points of the arc can never sum into the arc (mod 1)."""
     arc = erdos_interval(k)
     lo, hi = arc.lo, arc.hi
-    # the k-fold sumset of (lo, hi) is the open arc (k*lo, k*hi) reduced mod 1
-    shift = (k * lo).__floor__()
-    s = k * lo - shift
-    e = k * hi - shift
-    if e <= 1:
-        return e <= lo or s >= hi
-    return s >= hi and e - 1 <= lo
+    # the k-fold sumset of (lo, hi) is the open arc (k*lo, k*hi) reduced mod 1;
+    # for this arc it straddles 1, so it misses (lo, hi) when it starts at or
+    # past hi and its wrapped part ends at or before lo
+    return k * lo < 1 < k * hi and k * lo >= hi and k * hi - 1 <= lo
 
 
 @dataclass(frozen=True)

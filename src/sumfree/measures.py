@@ -102,9 +102,8 @@ class NuSchedule:
     i_{s-1} up to i_s (with i_{-1} read as -1, so block 0 is just n_0).
     The full-strength growth conditions (scale ratios at least 16k/eps,
     block gaps at least 2k n_{i_s}/eps, and t at least 2/eps) are what the
-    density-transport argument needs; they are reported by
-    ``strength_violations`` and not enforced, because toy schedules that
-    ignore them are still perfectly good measures.
+    density-transport argument needs; they are not checked, because toy
+    schedules that ignore them are still perfectly good measures.
     """
 
     n_sequence: tuple[int, ...]
@@ -132,20 +131,6 @@ class NuSchedule:
     @property
     def t(self) -> int:
         return len(self.block_ends) - 1
-
-    def strength_violations(self) -> list[str]:
-        eps = Fraction(self.eps)
-        found = []
-        for j in range(len(self.n_sequence) - 1):
-            if self.n_sequence[j + 1] * eps < 16 * self.k * self.n_sequence[j]:
-                found.append(f"scale ratio below 16k/eps between indices {j} and {j + 1}")
-        for s in range(self.t):
-            gap = self.block_ends[s + 1] - self.block_ends[s]
-            if gap * eps < 2 * self.k * self.n_sequence[self.block_ends[s]]:
-                found.append(f"block gap below 2k*n/eps after boundary {s}")
-        if self.t * eps < 2:
-            found.append("block count t below 2/eps")
-        return found
 
 
 def build_nu(schedule: NuSchedule) -> RationalMeasure:

@@ -55,12 +55,6 @@ class ResidueSet:
         _require_int(modulus, "modulus")
         return cls(modulus, frozenset(r % modulus for r in residues))
 
-    def __contains__(self, n: int) -> bool:
-        return n % self.modulus in self.residues
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
 
 def periodic_hull(s: IntSet, n0: int, modulus: int) -> ResidueSet:
     """Residues modulo `modulus` hit by s within [1, n0]."""
@@ -137,8 +131,8 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     """Least progression length i with (i+k-2)/(i(k+1)+k-3) <= 1/(k+1) + eps/4.
 
     The expression decreases to 1/(k+1) as i grows, so a minimum exists
-    for every positive eps.  Solved in closed form, then the boundary is
-    verified exactly.
+    for every positive eps.  Solved exactly in closed form: i(k+1)+k-3 and
+    target(k+1)-1 = (k+1)eps/4 are positive, so the ceiling is the least i.
     """
     _require_arity(k)
     eps = _require_rational(eps, "eps", 0)
@@ -146,12 +140,7 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     # (i+k-2) <= target*(i(k+1)+k-3) rearranges to i >= (k-2-target(k-3)) / (target(k+1)-1)
     numer = k - 2 - target * (k - 3)
     denom = target * (k + 1) - 1
-    i = max(1, math.ceil(numer / denom))
-    while _drop_expression(i, k) > target:
-        i += 1
-    while i > 1 and _drop_expression(i - 1, k) <= target:
-        i -= 1
-    return i
+    return max(1, math.ceil(numer / denom))
 
 
 def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ...]:

@@ -29,8 +29,9 @@ the edges through the vertex it took; one pass suffices, because forcing
 a vertex out never creates a unit.  Once the alive edges fill under 1/8
 of the frame they are renumbered into a new one, in the same order, so
 that each bitmask costs their count rather than the count of all edges.
-``bb`` honors a wall-clock budget of positive finite seconds: on expiry the
-best set found so far is returned as a certified lower bound, not an optimum.
+``bb`` honors a wall-clock budget of positive finite seconds, read at every
+node and started after the hypergraph build and the seed: on expiry the best
+set found so far is returned as a certified lower bound, not an optimum.
 ``brute`` refuses a budget; its size limit is its bound.
 """
 
@@ -180,7 +181,7 @@ def _solve_bb(
     stack = [(0, 0, (1 << len(masks)) - 1, column, frame, -1)]
     while stack:
         nodes += 1
-        if deadline is not None and nodes & 255 == 0 and time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             status = "timeout-lower-bound"
             break
         chosen, out, alive, cols, frame, taken = stack.pop()

@@ -12,9 +12,13 @@ import pytest
 
 from sumfree import (
     Falsified,
+    FalsificationError,
+    FolnerGrid,
     IntSet,
     InvalidParameterError,
+    extract_dilate_folner,
     format_set_text,
+    generate,
     geometric_schedule,
     max_k_sum_free,
     parse_instance,
@@ -24,6 +28,7 @@ from sumfree import (
     write_set_file,
 )
 from sumfree.cli import main
+from sumfree.core import rational_string
 from sumfree.harness import random_drop_instance
 from sumfree.measures import build_mu
 
@@ -129,6 +134,22 @@ def test_extract_folner(capsys, set_file):
     out = capsys.readouterr().out
     assert "dilator=" in out
     assert "lower_bound=" in out
+
+
+def test_extract_folner_reads_its_sum_free_subset(capsys, set_file):
+    # the members 1 mod 3 of the grid are sum-free and differ from the solver's witness
+    grid = generate(FolnerGrid(3, 3))
+    inner = IntSet.of(a for a in grid if a % 3 == 1)
+    s = IntSet.of(range(1, 100, 2))
+    argv = ["extract", "folner", "--k", "2", "--in", set_file("a.txt", s), "--grid", "3,3",
+            "--sumfree-subset", set_file("inner.txt", inner)]
+    assert main(argv) == 0
+    r = extract_dilate_folner(s, grid, inner, 2)
+    assert capsys.readouterr().out == (
+        f"dilator={r.dilator}\nscore={r.score}\nlower_bound={rational_string(r.lower_bound)}\n"
+        + format_set_text(r.subset)
+    )
+    assert inner != max_k_sum_free(grid, 2).witness
 
 
 def test_folner_gen_stdout(capsys):
@@ -293,6 +314,54 @@ def test_experiment_fls_soak_falsified_writes_instance(monkeypatch, tmp_path, ca
     assert capsys.readouterr().out == f"FALSIFIED density drop, instance at {target}\n"
     expected = random_drop_instance(2, random.Random(5), mirrored=True)
     assert parse_instance(target.read_text()) == expected
+
+
+def test_experiment_fls_soak_translate_inequality_falsified_exits_four(
+    monkeypatch, tmp_path, capsys
+):
+    # the second wave's first case fails at the seam; it has no instance to write
+    monkeypatch.setattr("sumfree.cli.check_translate_inequality", lambda *a, **kw: False)
+    target = tmp_path / "soak.json"
+    argv = ["experiment", "fls-soak", "--trials", "3", "--seed", "0",
+            "--falsified-out", str(target)]
+    assert main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "density drop verified on 3 instances"
+    assert lines[1].startswith("FALSIFIED translate inequality: n=")
+    assert lines[1].endswith(" k=2")
+    assert len(lines) == 2
+    assert not target.exists()
+
+
+def test_experiment_fls_soak_periodic_step_falsified_writes_instance(
+    monkeypatch, tmp_path, capsys
+):
+    # seed 0 with 3 trials runs one step in the third wave; splice a falsification in there
+    inst = random_drop_instance(2, random.Random(3))
+    monkeypatch.setattr("sumfree.cli.fls_step", lambda *a, **kw: Falsified(inst, "spliced"))
+    target = tmp_path / "soak.json"
+    argv = ["experiment", "fls-soak", "--trials", "3", "--seed", "0",
+            "--falsified-out", str(target)]
+    assert main(argv) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["density drop verified on 3 instances",
+                         "translate inequality verified on 3 instances"]
+    assert lines[2:] == [f"FALSIFIED periodic step, instance at {target}"]
+    assert parse_instance(target.read_text()) == inst
+
+
+def test_falsification_error_exits_four(monkeypatch, capsys, set_file):
+    def fail(*args, **kwargs):
+        raise FalsificationError("spliced at the seam")
+
+    monkeypatch.setattr("sumfree.cli.fls_step", fail)
+    path = set_file("odds.txt", range(1, 1001, 2))
+    argv = ["periodic", "fls-step", "--k", "2", "--Q", "2", "--i", "3", "--eps", "1/6",
+            "--n0", "100", "--in", path]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "falsification: spliced at the seam\n"
 
 
 def test_measure_build_mu(capsys):

@@ -306,13 +306,15 @@ def test_min_ap_length_examples():
 
 
 def test_min_ap_length_is_minimal():
-    for k in (2, 3, 5):
-        for eps in (Fraction(1, 4), Fraction(1, 9), Fraction(1, 33)):
+    # at eps >= 4 the bound passes 1/2 = drop_expression(1, k), so i = 1
+    for k in range(2, 9):
+        for eps in (Fraction(1, 4), Fraction(1, 9), Fraction(1, 33), Fraction(4)):
             i = min_ap_length(k, eps)
             target = Fraction(1, k + 1) + eps / 4
             assert drop_expression(i, k) <= target
             if i > 1:
                 assert drop_expression(i - 1, k) > target
+            assert (i == 1) == (eps == 4)
 
 
 def test_drop_expression_limit():
@@ -477,17 +479,18 @@ def test_fls_step_checks_only_a_schedule_its_caller_supplies(monkeypatch):
 
 def test_fls_step_rejects_bad_hypotheses():
     odds, k, n0, q, i, eps, schedule = valid_odds_arguments()
-    sparse = IntSet.of([1, 2])
-    with pytest.raises(InvalidParameterError):
+    # sum-free, but 1/100 is below the required 1/3 + eps
+    sparse = IntSet.of([99])
+    with pytest.raises(InvalidParameterError, match="below the required"):
         fls_step(sparse, k, n0, q, i, eps, schedule)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="not k-sum-free"):
         fls_step(IntSet.of([1, 2, 3]), k, 3, q, i, eps, schedule)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="needs at least k"):
         fls_step(odds, k, n0, q, i, eps, schedule[:10])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="grows by less than the required ratio"):
         # ratio between consecutive scales too small
         fls_step(odds, k, n0, q, i, eps, tuple(19200 + j for j in range(200)))
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="progression length for the drop bound"):
         # progression length below what this eps needs
         fls_step(odds, k, n0, q, 2, eps, schedule)
 
@@ -541,6 +544,36 @@ def test_verify_density_drop_seeded_instances():
     for trial in range(15):
         inst = random_drop_instance(rng.choice([2, 3]), rng, mirrored=bool(trial % 3 == 0))
         assert verify_density_drop(inst, inst.k) is True
+
+
+def _refused_drop_instances():
+    inst = random_drop_instance(2, random.Random(5))
+    low, last = inst.elements.elements[0], inst.ap_start + (inst.ap_length - 1) * inst.ap_step
+    # members are at least 1, so one member minus another stays below n0
+    unwritable = inst.n0
+    # a one-term progression takes any step; this one does not divide d - x
+    step = abs(inst.difference - inst.ap_start) + 1
+    return [
+        ("built for arity", replace(inst, k=3)),
+        ("not k-sum-free", replace(inst, elements=IntSet.of(inst.elements.elements + (2 * low,)))),
+        ("beyond the horizon", replace(inst, n0=last - 1)),
+        ("not writable", replace(inst, difference=unwritable)),
+        ("not congruent", replace(inst, ap_length=1, ap_step=step)),
+        # an empty schedule: the scan finds no drop in its prefix and cannot decide
+        ("no drop found in the available prefix", replace(inst, schedule=())),
+    ]
+
+
+REFUSED_DROP_INSTANCES = _refused_drop_instances()
+
+
+@pytest.mark.parametrize(
+    "message, instance", REFUSED_DROP_INSTANCES, ids=[c[0] for c in REFUSED_DROP_INSTANCES]
+)
+def test_verify_density_drop_refuses_each_failed_hypothesis(message, instance):
+    # each case breaks one hypothesis of the seeded instance and meets the ones checked before it
+    with pytest.raises(InvalidParameterError, match=message):
+        verify_density_drop(instance, 2)
 
 
 def test_verify_density_drop_immediate_hit():

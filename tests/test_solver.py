@@ -277,15 +277,15 @@ def test_timeout_on_f4_returns_a_certified_lower_bound():
 @pytest.mark.parametrize(
     "k, strong, ticks, nodes, digest",
     [
-        (2, False, 77, 19968, "5332dac85d9e7be4812a7c0e2335b304c60e1bbbaed2d5bef35d5c5c78f53ffe"),
-        (3, False, 15, 4096, "93e3893051e79b134d3a315f34b87dc52621e79cb126fb5b03222305412c2eba"),
-        (3, True, 15, 4096, "b1f173a74e7b04df1322666f4ae64505492866078ded36be5197797a88f84a37"),
+        (2, False, 19967, 19968, "5332dac85d9e7be4812a7c0e2335b304c60e1bbbaed2d5bef35d5c5c78f53ffe"),
+        (3, False, 4095, 4096, "93e3893051e79b134d3a315f34b87dc52621e79cb126fb5b03222305412c2eba"),
+        (3, True, 4095, 4096, "b1f173a74e7b04df1322666f4ae64505492866078ded36be5197797a88f84a37"),
     ],
 )
 def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, digest):
     # a clock that ticks once per read: bb reads it once at the start and then
-    # every 256 nodes, so a budget of B ticks stops it after exactly 256 (B + 1)
-    # nodes, whatever the machine.  These runs reach deep enough that bb
+    # at every node, so a budget of B ticks stops it after exactly B + 1 nodes,
+    # whatever the machine.  These runs reach deep enough that bb
     # renumbers its edges many times; the incumbent, its witness and the count
     # pin the search order through them.
     f4 = generate(FolnerGrid.diagonal(4))
@@ -299,9 +299,9 @@ def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, di
 def test_f4_incumbent_reaches_the_best_known_112(monkeypatch):
     # the descending greedy pass already holds 112 elements of F_4 at k = 2,
     # the best known, so bb returns it however soon its budget runs out; a
-    # budget of 1 tick stops it after 512 nodes
+    # budget of 511 ticks stops it after 512 nodes
     monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
-    r = max_k_sum_free(generate(FolnerGrid.diagonal(4)), 2, budget=1)
+    r = max_k_sum_free(generate(FolnerGrid.diagonal(4)), 2, budget=511)
     assert (r.nodes, r.status) == (512, "timeout-lower-bound")
     assert r.size >= 112
     assert r.size == len(r.witness)
