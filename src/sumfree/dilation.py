@@ -41,7 +41,7 @@ from typing import Optional
 from .core import IntSet, is_k_sum_free, _require_arity, _require_within
 from .errors import FalsificationError, InvalidParameterError
 from .folner import set_dilation_defect
-from .measures import RationalMeasure
+from .measures import RationalMeasure, _common_denominator
 
 DEFAULT_SWEEP_CAP = 50_000
 
@@ -292,10 +292,13 @@ def extract_dilate_measure(
     def slice_at(x: int) -> tuple[int, ...]:
         return tuple(a for a in support if a * x in inner_members)
 
+    # the weights as integers over a positive common denominator keep their order;
     # max keeps the first x of greatest weight, in ascending order
-    best_x = max(f.elements, key=lambda x: sum(map(m.weight_at, slice_at(x)), Fraction(0)))
+    common, factor = _common_denominator(w.denominator for w in m.weights.values())
+    scaled = {a: w.numerator * factor[w.denominator] for a, w in m.weights.items()}
+    best_x = max(f.elements, key=lambda x: sum(map(scaled.__getitem__, slice_at(x))))
     best_subset = slice_at(best_x)
-    best_weight = sum(map(m.weight_at, best_subset), Fraction(0))
+    best_weight = Fraction(sum(map(scaled.__getitem__, best_subset)), common)
     density = Fraction(len(inner), len(f))
     bound = density * m.mass - sum(
         m.weight_at(a) * set_dilation_defect(f, a) for a in support

@@ -8,14 +8,17 @@ weight of its starting measure, which is what lets a density statement at
 one scale be transported to a dilation-invariant one; ``contraction_index``
 says how many steps that takes for a given tolerance.
 
-Everything is a Fraction; no floating point enters any computation here.
+Every weight, mass and bound is a Fraction, and no floating point enters any
+computation here.  Long sums run on integer numerators over one common
+denominator, the lcm of the few distinct ones, and become a Fraction once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     IntSet, _require_arity, _require_int, _require_rational, _require_within, rational_string,
@@ -36,22 +39,33 @@ class RationalMeasure:
     @staticmethod
     def from_weights(mapping: Mapping[int, Fraction]) -> "RationalMeasure":
         clean = {}
+        sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
         for point, weight in mapping.items():
             _require_int(point, "support point")
-            w = _require_rational(weight, f"weight at {point}")
-            if w < 0:
-                raise InvalidParameterError(f"weights must be >= 0, got {w} at {point}")
-            if w > 0:
-                clean[point] = w
-        mass = sum(clean.values(), Fraction(0))
-        support_max = max(clean, default=0)
-        return RationalMeasure(clean, mass, support_max)
+            if type(weight) not in (int, Fraction):
+                _require_rational(weight, f"weight at {point}")
+            numerator = weight.numerator
+            if numerator < 0:
+                raise InvalidParameterError(f"weights must be >= 0, got {weight} at {point}")
+            if numerator:
+                clean[point] = weight if type(weight) is Fraction else Fraction(weight)
+                sums[weight.denominator] = sums.get(weight.denominator, 0) + numerator
+        common, factor = _common_denominator(sums)
+        mass = Fraction(sum(n * factor[d] for d, n in sums.items()), common)
+        return RationalMeasure(clean, mass, max(clean, default=0))
 
     def weight_at(self, point: int) -> Fraction:
         return self.weights.get(point, Fraction(0))
 
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(self.weights))
+
+
+def _common_denominator(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """The lcm of the denominators, and the factor taking each distinct one to it."""
+    factor = dict.fromkeys(denominators)
+    common = math.lcm(*factor)
+    return common, {d: common // d for d in factor}
 
 
 def uniform_measure(n: int) -> RationalMeasure:
@@ -70,13 +84,20 @@ def mix(coefficients: Sequence[Fraction], measures: Sequence[RationalMeasure]) -
         raise InvalidParameterError("mix coefficients must be nonnegative")
     if sum(coeffs) != 1:
         raise InvalidParameterError(f"mix coefficients must sum to 1, got {sum(coeffs)}")
-    accumulated: dict[int, Fraction] = {}
-    for c, m in zip(coeffs, measures):
-        if c == 0:
-            continue
-        for point, weight in m.weights.items():
-            accumulated[point] = accumulated.get(point, Fraction(0)) + c * weight
-    return RationalMeasure.from_weights(accumulated)
+    # c * w is c.n * w.n over c.d * w.d: scale that denominator to the common one
+    pairs = [(c, m) for c, m in zip(coeffs, measures) if c]
+    common, factor = _common_denominator(
+        c.denominator * w.denominator for c, m in pairs for w in m.weights.values()
+    )
+    numerators: dict[int, int] = {}
+    for c, m in pairs:
+        cn, cd = c.numerator, c.denominator
+        for point, w in m.weights.items():
+            scaled = cn * w.numerator * factor[cd * w.denominator]
+            numerators[point] = numerators.get(point, 0) + scaled
+    weight_of = {n: Fraction(n, common) for n in set(numerators.values())}
+    weights = {point: weight_of[n] for point, n in numerators.items()}
+    return RationalMeasure(weights, Fraction(sum(numerators.values()), common), max(weights))
 
 
 def pushforward_scale(m: RationalMeasure, q: int) -> RationalMeasure:
@@ -137,19 +158,18 @@ def build_nu(schedule: NuSchedule) -> RationalMeasure:
     """Average of per-block averages of uniform measures over the schedule."""
     top_scale = schedule.n_sequence[schedule.block_ends[-1]]
     _require_within(top_scale, SUPPORT_CAP, "measure support needs {} points")
-    t = schedule.t
-    outer = Fraction(1, t + 1)
+    # scale i carries w_i = 1/((t+1) |block| n_i) on each of 1..n_i, so a point
+    # in (n_{i-1}, n_i] weighs the suffix sum of w_j over the scales j >= i
+    scale_weights = [
+        Fraction(1, (schedule.t + 1) * (end - start) * n)
+        for start, end in zip((-1,) + schedule.block_ends, schedule.block_ends)
+        for n in schedule.n_sequence[start + 1 : end + 1]
+    ]
+    suffix = sum(scale_weights, Fraction(0))
     accumulated: dict[int, Fraction] = {}
-    previous_end = -1
-    for end in schedule.block_ends:
-        block = range(previous_end + 1, end + 1)
-        inner = Fraction(1, len(block))
-        for i in block:
-            n = schedule.n_sequence[i]
-            w = outer * inner * Fraction(1, n)
-            for point in range(1, n + 1):
-                accumulated[point] = accumulated.get(point, Fraction(0)) + w
-        previous_end = end
+    for below, n, w in zip((0,) + schedule.n_sequence, schedule.n_sequence, scale_weights):
+        accumulated |= dict.fromkeys(range(below + 1, n + 1), suffix)
+        suffix -= w
     built = RationalMeasure.from_weights(accumulated)
     if built.mass != 1:
         raise FalsificationError(f"block-average measure has mass {built.mass}, expected 1")

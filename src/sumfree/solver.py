@@ -29,9 +29,9 @@ the edges through the vertex it took; one pass suffices, because forcing
 a vertex out never creates a unit.  Once the alive edges fill under 1/8
 of the frame they are renumbered into a new one, in the same order, so
 that each bitmask costs their count rather than the count of all edges.
-``bb`` honors a wall-clock budget of positive finite seconds, read at every
-node and started after the hypergraph build and the seed: on expiry the best
-set found so far is returned as a certified lower bound, not an optimum.
+``bb`` honors a wall-clock budget of positive finite seconds, started before
+the hypergraph build and read at every node: on expiry the best set found so
+far, the seed at least, is returned as a certified lower bound, not an optimum.
 ``brute`` refuses a budget; its size limit is its bound.
 """
 
@@ -151,7 +151,7 @@ def _frame(n: int, masks: Sequence[int], vertex_tuples: list[tuple[int, ...]]) -
 
 
 def _solve_bb(
-    vertices: tuple[int, ...], masks: tuple[int, ...], budget: Optional[float]
+    vertices: tuple[int, ...], masks: tuple[int, ...], deadline: Optional[float]
 ) -> SolveResult:
     n = len(vertices)
     all_mask = (1 << n) - 1
@@ -172,7 +172,6 @@ def _solve_bb(
         seeds.append(seed)
     best_mask = max(seeds, key=int.bit_count)
     best_size = best_mask.bit_count()
-    deadline = None if budget is None else time.monotonic() + budget
     status = "optimal"
     nodes = 0
     # a node: the vertices taken and forced out on its path; `alive`, the frame
@@ -258,11 +257,12 @@ def max_k_sum_free(
         raise InvalidParameterError(
             f"brute force is limited to {BRUTE_SIZE_LIMIT} elements, got {len(s)}"
         )
+    deadline = None if budget is None else time.monotonic() + budget
     graph = build_hypergraph(s, k, strong=strong)
     if algo == "brute":
         result = _solve_brute(s.elements, graph.masks)
     else:
-        result = _solve_bb(s.elements, graph.masks, budget)
+        result = _solve_bb(s.elements, graph.masks, deadline)
     checker = is_strongly_k_sum_free if strong else is_k_sum_free
     if not checker(result.witness, k):
         raise FalsificationError("solver witness fails the sum-freeness predicate")

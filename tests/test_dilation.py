@@ -11,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumfree import (
+    ExtractionResult,
     FolnerGrid,
     IntSet,
     InvalidParameterError,
     ResourceLimitError,
     OpenInterval,
+    RationalMeasure,
     erdos_interval,
     evaluate,
     extract_dilate_exhaustive,
@@ -25,6 +27,7 @@ from sumfree import (
     interval_is_k_sum_free,
     is_k_sum_free,
     max_k_sum_free,
+    set_dilation_defect,
     uniform_measure,
 )
 from sumfree.dilation import DEFAULT_SWEEP_CAP, _sweep
@@ -230,6 +233,56 @@ def test_measure_extraction_bound():
     eps = max(Fraction(len({a * x for x in fset} ^ fset), len(fset)) for a in range(1, n + 1))
     assert got.score >= delta - eps
     assert evaluate(uniform_measure(n), got.subset) == got.score
+
+
+def measure_extraction_by_fractions(f, inner, m, k):
+    """The weighted slice with each dilator's weight summed one Fraction at a time."""
+    support = m.support()
+
+    def slice_at(x):
+        return tuple(a for a in support if a * x in inner)
+
+    def weight(x):
+        return sum((m.weights[a] for a in slice_at(x)), Fraction(0))
+
+    best_x = max(f.elements, key=weight)
+    bound = Fraction(len(inner), len(f)) * m.mass - sum(
+        m.weights[a] * set_dilation_defect(f, a) for a in support
+    )
+    return ExtractionResult(best_x, IntSet(slice_at(best_x)), weight(best_x), bound, "measure")
+
+
+@pytest.mark.parametrize("grid", [(3, 3), (2, 8), (3, 4)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_measure_extraction_matches_the_fraction_by_fraction_argmax(grid, k):
+    f = generate(FolnerGrid(*grid))
+    inner = extract_dilate_exhaustive(f, k).subset
+    rng = random.Random(f"{grid}-{k}")
+    measures = [uniform_measure(12)]
+    for _ in range(15):
+        points = rng.sample(range(1, 60), rng.randrange(1, 10))
+        weights = {a: Fraction(rng.randrange(0, 5), rng.choice([1, 3, 7, 10**30])) for a in points}
+        measures.append(RationalMeasure.from_weights(weights))
+    for m in measures:
+        got = extract_dilate_measure(f, inner, m, k)
+        assert got == measure_extraction_by_fractions(f, inner, m, k)
+        assert type(got.score) is Fraction and type(got.lower_bound) is Fraction
+
+
+def test_measure_extraction_ties_go_to_the_first_ascending_dilator():
+    # x = 1 slices out {20, 25} and x = 2 slices out {2}: both weigh 1/3, the most
+    f = generate(FolnerGrid(3, 3))
+    inner = extract_dilate_exhaustive(f, 2).subset
+    m = RationalMeasure.from_weights({25: Fraction(1, 6), 20: Fraction(1, 6), 2: Fraction(1, 3)})
+
+    def weight(x):
+        return evaluate(m, IntSet.of(a for a in m.weights if a * x in inner))
+
+    assert max(map(weight, f.elements)) == Fraction(1, 3)
+    assert [x for x in f.elements if weight(x) == Fraction(1, 3)][:2] == [1, 2]
+    got = extract_dilate_measure(f, inner, m, 2)
+    assert got == measure_extraction_by_fractions(f, inner, m, 2)
+    assert (got.dilator, got.subset, got.score) == (1, IntSet.of([20, 25]), Fraction(1, 3))
 
 
 def oracle_sweep(elements, k):

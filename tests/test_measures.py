@@ -311,3 +311,111 @@ def test_contraction_bound_on_periodic_corpus():
         hull = periodic_hull(s, mu.support_max, q)
         assert is_residue_k_sum_free(hull, k)
         assert evaluate(mu, s) <= ceiling
+
+
+# The measure layer sums on integer numerators over a common denominator.  The
+# oracles below add one Fraction at a time, the way `evaluate` does.
+
+
+def nu_weights_by_fractions(schedule: NuSchedule) -> dict:
+    """Each scale's weight added to every point it covers, one Fraction at a time."""
+    outer = Fraction(1, schedule.t + 1)
+    accumulated: dict = {}
+    previous_end = -1
+    for end in schedule.block_ends:
+        block = range(previous_end + 1, end + 1)
+        for i in block:
+            n = schedule.n_sequence[i]
+            w = outer * Fraction(1, len(block)) * Fraction(1, n)
+            for point in range(1, n + 1):
+                accumulated[point] = accumulated.get(point, Fraction(0)) + w
+        previous_end = end
+    return accumulated
+
+
+def mix_weights_by_fractions(coefficients, measures) -> dict:
+    accumulated: dict = {}
+    for c, m in zip(coefficients, measures):
+        if c == 0:
+            continue
+        for point, weight in m.weights.items():
+            accumulated[point] = accumulated.get(point, Fraction(0)) + c * weight
+    return accumulated
+
+
+def assert_measure_is(m: RationalMeasure, weights: dict) -> None:
+    """Same weights in the same order, all Fractions; mass and support as summed."""
+    assert list(m.weights.items()) == list(weights.items())
+    assert all(type(w) is Fraction for w in m.weights.values())
+    assert type(m.mass) is Fraction
+    assert m.mass == evaluate(m, IntSet.of(weights))
+    assert m.support_max == max(weights, default=0)
+
+
+def seeded_schedule(rng: random.Random, shape: str) -> NuSchedule:
+    count = 1 if shape == "single-scale" else rng.randrange(2, 7)
+    scales = [rng.randrange(1, 9)]
+    for _ in range(count - 1):
+        scales.append(scales[-1] * rng.randrange(2, 6) + rng.randrange(0, 4))
+    if shape == "uneven-blocks":
+        ends = [0] + sorted(rng.sample(range(1, count), rng.randrange(1, count)))
+    else:
+        ends = list(range(count))
+    return NuSchedule(tuple(scales), tuple(ends), Fraction(1, rng.randrange(2, 30)), 2)
+
+
+@pytest.mark.parametrize("shape", ["single-scale", "one-block-per-scale", "uneven-blocks"])
+def test_build_nu_matches_the_fraction_by_fraction_sum(shape):
+    rng = random.Random(f"nu-{shape}")
+    for _ in range(25):
+        schedule = seeded_schedule(rng, shape)
+        assert_measure_is(build_nu(schedule), nu_weights_by_fractions(schedule))
+
+
+def test_mix_matches_the_fraction_by_fraction_sum():
+    tiny = Fraction(1, 10**30)
+    far = RationalMeasure.from_weights({1: tiny, 2: Fraction(1, 3) - tiny, 5: Fraction(2, 3)})
+    cases = [
+        ([Fraction(1, 2), 0, Fraction(1, 2)], [uniform_measure(3), far, uniform_measure(9)]),
+        ([0, 1], [uniform_measure(4), uniform_measure(6)]),
+        ([1, Fraction(0)], [far, uniform_measure(9)]),
+        ([Fraction(1, 3), Fraction(2, 3)], [far, uniform_measure(10)]),
+        ([tiny, 1 - tiny], [uniform_measure(3), far]),
+        (
+            [Fraction(2, 3), tiny, Fraction(1, 3) - tiny],
+            [pushforward_scale(far, 7), far, uniform_measure(5)],
+        ),
+    ]
+    rng = random.Random(31)
+    for _ in range(20):
+        cases.append(([Fraction(1, 4), Fraction(3, 4)], [random_measure(rng), random_measure(rng)]))
+    for coefficients, measures in cases:
+        expected = mix_weights_by_fractions(coefficients, measures)
+        assert_measure_is(mix(coefficients, measures), expected)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_build_mu_matches_the_fraction_by_fraction_sum(k):
+    for i_max, q, n_start in [(1, 2, 3), (3, 2, 1), (4, 3, 2), (5, 2, 5)]:
+        mu = uniform_measure(n_start)
+        for _ in range(i_max - 1):
+            parts = [pushforward_scale(mu, q), uniform_measure(q * mu.support_max)]
+            weights = mix_weights_by_fractions([Fraction(k, k + 1), Fraction(1, k + 1)], parts)
+            mu = RationalMeasure(weights, sum(weights.values(), Fraction(0)), max(weights))
+        built = build_mu(i_max, q, k, uniform_measure, n_start=n_start)
+        assert_measure_is(built, mu.weights)
+        assert built == mu
+
+
+def test_from_weights_refuses_negative_weights_and_drops_zeros():
+    for weight, shown in [(Fraction(-1, 2), "-1/2"), (-1, "-1")]:
+        refusal = f"^weights must be >= 0, got {shown} at 5$"
+        with pytest.raises(InvalidParameterError, match=refusal):
+            RationalMeasure.from_weights({3: Fraction(1, 2), 5: weight})
+    with pytest.raises(InvalidParameterError, match=r"^weight at 4 must be an int or a Fraction"):
+        RationalMeasure.from_weights({4: 0.5})
+    m = RationalMeasure.from_weights({1: 0, 2: Fraction(1, 3), 3: Fraction(0), 4: 2, 9: 0})
+    assert m.weights == {2: Fraction(1, 3), 4: Fraction(2)}
+    assert all(type(w) is Fraction for w in m.weights.values())
+    assert (m.mass, m.support_max) == (Fraction(7, 3), 4)
+    assert RationalMeasure.from_weights({1: 0}) == RationalMeasure({}, Fraction(0), 0)

@@ -308,6 +308,25 @@ def test_f4_incumbent_reaches_the_best_known_112(monkeypatch):
     assert is_k_sum_free(r.witness, 2)
 
 
+def test_budget_starts_before_the_hypergraph_build(monkeypatch):
+    # a clock that stands still except during the build, which takes 10 s of it:
+    # a budget of 1 s is spent before bb starts, so its first node stops it and
+    # the greedy seed comes back as the lower bound
+    now = [0.0]
+    build = solver.build_hypergraph
+
+    def slow_build(*args, **kwargs):
+        now[0] += 10
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(solver.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(solver, "build_hypergraph", slow_build)
+    r = max_k_sum_free(generate(FolnerGrid.diagonal(3)), 2, budget=1)
+    assert (r.nodes, r.status) == (1, "timeout-lower-bound")
+    assert r.size == len(r.witness) > 0
+    assert is_k_sum_free(r.witness, 2)
+
+
 def greedy_size(elements, k, strong):
     """The size of the greedy pass over elements in the given order, by the predicate."""
     check = is_strongly_k_sum_free if strong else is_k_sum_free
