@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .core import IntSet, _bits, _require_arity, _require_int, k_difference_set
 from .errors import InvalidParameterError
-from .periodic import DensityDropInstance, _progressions, geometric_schedule
+from .periodic import DensityDropInstance, _progressions
 
 DROP_ATTEMPTS = 400
 INEQUALITY_ATTEMPTS = 200
@@ -104,8 +104,8 @@ def random_drop_instance(k: int, rng: random.Random, mirrored: bool = False) -> 
 
     Grows a thinned k-sum-free set, locates a progression inside the
     horizon, then picks a compatible signed difference on the requested
-    side of the progression start.  The schedule uses the stronger
-    16k/eps growth ratio so every ratio hypothesis is met with room.
+    side of the progression start.  The schedule ratio is the stronger
+    16k/eps, so every ratio hypothesis is met with room.
     """
     for _ in range(DROP_ATTEMPTS):
         horizon = rng.randrange(300, 700)
@@ -132,7 +132,6 @@ def random_drop_instance(k: int, rng: random.Random, mirrored: bool = False) -> 
             continue
         d = compatible[rng.randrange(len(compatible))]
         eps = Fraction(1, rng.randrange(8, 40))
-        schedule = geometric_schedule(n0, Fraction(16 * k) / eps, k * n0)
         return DensityDropInstance(
             elements=s,
             n0=n0,
@@ -141,7 +140,7 @@ def random_drop_instance(k: int, rng: random.Random, mirrored: bool = False) -> 
             ap_length=ap_length,
             difference=d,
             eps=eps,
-            schedule=schedule,
+            ratio=Fraction(16 * k) / eps,
             k=k,
         )
     raise InvalidParameterError(f"no drop instance found in {DROP_ATTEMPTS} attempts")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -143,6 +144,16 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     return max(1, math.ceil(numer / denom))
 
 
+def _scales(start: int, ratio: Fraction, count: int) -> Iterator[int]:
+    """geometric_schedule's entries, unguarded and lazy; the bit bound is checked at the call."""
+    p, q = ratio.numerator, ratio.denominator
+    step_bits = (-(-p // q)).bit_length()
+    required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
+    _require_within(required, SCHEDULE_BIT_CAP, "schedule needs up to {} bits")
+    cur = start  # the generator's walrus rebinds it, so each entry grows from the last
+    return (cur := -(-cur * p // q) for _ in range(count))
+
+
 def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ...]:
     """count integers growing from start by at least the given ratio each step.
 
@@ -153,15 +164,7 @@ def geometric_schedule(start: int, ratio: Fraction, count: int) -> tuple[int, ..
     _require_int(start, "schedule start")
     ratio = _require_rational(ratio, "schedule ratio", 1)
     _require_int(count, "schedule length", 0)
-    step_bits = (-(-ratio.numerator // ratio.denominator)).bit_length()
-    required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
-    _require_within(required, SCHEDULE_BIT_CAP, "schedule needs up to {} bits")
-    out = []
-    cur = start
-    for _ in range(count):
-        cur = -(-cur * ratio.numerator // ratio.denominator)
-        out.append(cur)
-    return tuple(out)
+    return tuple(_scales(start, ratio, count))
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,8 @@ class DensityDropInstance:
     Carries the set, the horizon n0, the progression (start, step,
     length) inside [1, n0], a signed difference writable as one set
     member minus k-1 set members and congruent to the start mod step,
-    the bound's eps, and the scanning schedule.
+    the bound's eps, and the ratio of the scanned schedule: the k*n0
+    entries of ``geometric_schedule(n0, ratio, k*n0)``.
     """
 
     elements: IntSet
@@ -181,57 +185,53 @@ class DensityDropInstance:
     ap_length: int
     difference: int
     eps: Fraction
-    schedule: tuple[int, ...]
+    ratio: Fraction
     k: int
+
+    @property
+    def schedule(self) -> tuple[int, ...]:
+        """The scanned schedule, built from n0, the ratio and k."""
+        return tuple(_scales(self.n0, self.ratio, self.k * self.n0))
 
 
 def serialize_instance(instance: DensityDropInstance) -> str:
-    """JSON with an "n/d" eps and "0x" hex schedule entries, which no digit limit stops."""
+    """JSON with "n/d" strings for eps and the schedule ratio."""
     payload = {name: getattr(instance, name) for name in DensityDropInstance.__dataclass_fields__}
     payload.update(
         elements=list(instance.elements.elements),
         eps=rational_string(instance.eps),
-        schedule=[hex(n) for n in instance.schedule],
+        ratio=rational_string(instance.ratio),
     )
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def parse_instance(text: str) -> DensityDropInstance:
-    """Read what ``serialize_instance`` writes, in exactly its forms, coercing nothing."""
+    """Read what ``serialize_instance`` writes, in exactly its keys and forms, coercing nothing."""
     try:
         payload = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise InvalidParameterError(f"instance is not valid JSON: {exc}") from None
+    names = DensityDropInstance.__dataclass_fields__.keys()
+    fields = payload if type(payload) is dict else {}
+    if fields.keys() != names:
+        unknown, missing = sorted(fields.keys() - names), sorted(names - fields.keys())
+        raise InvalidParameterError(f"instance has unknown keys {unknown} and lacks {missing}")
     try:
-        fields = {name: payload[name] for name in DensityDropInstance.__dataclass_fields__}
         for name, low in (("n0", 1), ("ap_start", 1), ("ap_step", 1), ("ap_length", 1), ("k", 2)):
             _require_int(fields[name], name, low)
-        schedule = tuple(int(n, 16) if type(n) is str else 0 for n in fields["schedule"])
-        if any(n < 1 or hex(n) != text for n, text in zip(schedule, fields["schedule"])):
-            raise InvalidParameterError("schedule entries must be '0x' hex integers >= 1")
-        difference, eps = fields["difference"], fields["eps"]
+        difference = fields["difference"]
         if type(difference) is not int:
             raise InvalidParameterError(f"difference must be an integer, got {difference!r}")
-        value = Fraction(eps) if type(eps) is str else None
-        if value is None or rational_string(value) != eps:
-            raise InvalidParameterError(f"eps must be an 'n/d' string in lowest terms, got {eps!r}")
-        fields.update(elements=IntSet.of(fields["elements"]), eps=value, schedule=schedule)
+        for name in ("eps", "ratio"):
+            value = fields[name]
+            exact = type(value) is str and re.fullmatch(r"-?[0-9]+/[1-9][0-9]*", value)
+            if not exact or rational_string(Fraction(value)) != value:
+                raise InvalidParameterError(f"{name} must be 'n/d' in lowest terms, got {value!r}")
+            fields[name] = Fraction(value)
+        fields.update(elements=IntSet.of(fields["elements"]))
         return DensityDropInstance(**fields)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed instance payload: {exc}") from None
-
-
-def _check_schedule(schedule: Sequence[int], base: int, min_ratio: Fraction) -> None:
-    p, q = min_ratio.numerator, min_ratio.denominator
-    prev = base
-    for j, n in enumerate(schedule):
-        _require_int(n, f"schedule: entry {j}")
-        if n * q < p * prev:
-            raise InvalidParameterError(
-                f"schedule: entry {j} = {n} grows by less than the required "
-                f"ratio {min_ratio} over {prev}"
-            )
-        prev = n
 
 
 def _require_progression(s: IntSet, start: int, step: int, length: int) -> None:
@@ -252,7 +252,7 @@ def _neighboured(s: IntSet, step: int, length: int) -> list[int]:
 
 
 def _first_drop(
-    s: IntSet, schedule: Sequence[int], bound: Fraction
+    s: IntSet, schedule: Iterable[int], bound: Fraction
 ) -> Optional[tuple[int, Fraction]]:
     """1-based index and density of the first schedule entry with density <= bound."""
     for index, n in enumerate(schedule, start=1):
@@ -265,18 +265,23 @@ def _first_drop(
 def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
     """Check the density-drop conclusion on a hypothesis-satisfying instance.
 
-    Scans schedule indices 1..k*n0 for an exact density at or below
-    (i+k-2)/(i(k+1)+k-3) + 4k*eps.  Hypothesis failures raise
-    invalid-parameter errors naming the failed hypothesis; a full-length
-    scan with no drop returns False, which callers must treat as a loud
-    falsification.
+    Scans the instance's schedule, indices 1..k*n0, for an exact density
+    at or below (i+k-2)/(i(k+1)+k-3) + 4k*eps, building each entry as it
+    goes and stopping at the first drop.  Hypothesis failures, a ratio
+    below 1/eps among them, raise invalid-parameter errors naming the
+    failed hypothesis; a scan with no drop returns False, which callers
+    must treat as a loud falsification.
     """
     if instance.k != k:
         raise InvalidParameterError(
             f"instance was built for arity {instance.k}, checked with {k}"
         )
+    _require_int(instance.n0, "horizon n0")
     _require_progression(instance.elements, instance.ap_start, instance.ap_step, instance.ap_length)
     eps = _require_rational(instance.eps, "eps", 0)
+    ratio = _require_rational(instance.ratio, "ratio", 1)
+    if ratio < 1 / eps:
+        raise InvalidParameterError(f"ratio {ratio} is below 1/eps = {1 / eps}")
     if not is_k_sum_free(instance.elements, k):
         raise InvalidParameterError("set is not k-sum-free on its data")
     last = instance.ap_start + (instance.ap_length - 1) * instance.ap_step
@@ -295,17 +300,9 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
             f"difference {instance.difference} is not congruent to the start "
             f"{instance.ap_start} modulo the step {instance.ap_step}"
         )
-    _check_schedule(instance.schedule, instance.n0, 1 / eps)
     bound = _drop_expression(instance.ap_length, k) + 4 * k * eps
-    limit = k * instance.n0
-    if _first_drop(instance.elements, instance.schedule[:limit], bound) is not None:
-        return True
-    if len(instance.schedule) < limit:
-        raise InvalidParameterError(
-            f"schedule has {len(instance.schedule)} entries but the conclusion "
-            f"scans indices 1..{limit}; no drop found in the available prefix"
-        )
-    return False
+    scales = _scales(instance.n0, ratio, k * instance.n0)
+    return _first_drop(instance.elements, scales, bound) is not None
 
 
 def check_translate_inequality(
@@ -386,15 +383,17 @@ def fls_step(
     the supplied (modulus, ap_length, n0) sat below the sizes that would
     guarantee a progression; Falsified means every hypothesis held and
     the scan still failed, which is a bug or a counterexample and ships
-    with a replayable instance.  Without a schedule the step scans
-    ``geometric_schedule(n0, 16k/eps, k*n0)``.
+    with a replayable instance.  The step scans the entries of
+    ``geometric_schedule(n0, 16k/eps, k*n0)`` as it builds them, up to the
+    first drop.  A given schedule must equal that one: the instance of a
+    Falsified outcome records only the ratio.
     """
     eps = _require_rational(eps, "eps", 0)
     needed = min_ap_length(k, eps)
     _require_int(ap_length, f"progression length for the drop bound at eps {eps}", needed)
+    _require_int(n0, "horizon")
     ratio = Fraction(16 * k) / eps
-    derived = schedule is None
-    schedule = geometric_schedule(n0, ratio, k * n0) if derived else tuple(schedule)
+    scales = _scales(n0, ratio, k * n0)
     if not is_k_sum_free(s, k):
         raise InvalidParameterError("input set is not k-sum-free on its data")
     threshold = Fraction(1, k + 1) + eps
@@ -403,12 +402,10 @@ def fls_step(
         raise InvalidParameterError(
             f"density at {n0} is {have}, below the required {threshold}"
         )
-    if len(schedule) < k * n0:
+    if schedule is not None and tuple(schedule) != tuple(_scales(n0, ratio, k * n0)):
         raise InvalidParameterError(
-            f"schedule has {len(schedule)} entries, needs at least k*n0 = {k * n0}"
+            f"a given schedule must equal geometric_schedule(n0, {ratio}, {k * n0})"
         )
-    if not derived:  # a derived schedule meets the ratio by construction
-        _check_schedule(schedule, n0, ratio)
     restricted = s.upto(n0)
     hull = ResidueSet.of(modulus, restricted)
     kernel = difference_kernel(hull, k)
@@ -419,7 +416,7 @@ def fls_step(
     if ap is None:
         return ApNotFound()
     drop_bound = Fraction(1, k + 1) + eps / 2
-    if (hit := _first_drop(s, schedule[: k * n0], drop_bound)) is not None:
+    if (hit := _first_drop(s, scales, drop_bound)) is not None:
         return DensityDrop(*hit)
     x, m = ap
     # only a Falsified instance reads d, so it is derived after the scan fails.
@@ -442,7 +439,7 @@ def fls_step(
         ap_length=ap_length,
         difference=min(found),
         eps=eps / (16 * k),
-        schedule=schedule,
+        ratio=ratio,
         k=k,
     )
     return Falsified(

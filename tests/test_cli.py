@@ -281,6 +281,8 @@ def test_periodic_fls_step_falsified_writes_an_instance_past_the_digit_limit(
             "--i", "20", "--in", path, "--falsified-out", str(target)]
     assert main(argv) == 4
     assert "outcome=falsified" in capsys.readouterr().out
+    # the file records the schedule's ratio, not its 3,000 entries
+    assert target.stat().st_size < 100_000
     schedule = parse_instance(target.read_text()).schedule
     assert schedule == geometric_schedule(1000, Fraction(960), 3000)
     assert schedule[-1] > 10**8900

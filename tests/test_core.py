@@ -325,9 +325,11 @@ GUARDED_CALLS = [
     ("find_ap.modulus", 1, lambda v: periodic.find_ap(_odds, 50, 3, v)),
     ("geometric_schedule.start", 1, lambda v: periodic.geometric_schedule(v, 3, 4)),
     ("geometric_schedule.count", 0, lambda v: periodic.geometric_schedule(2, 3, v)),
-    ("schedule entry", 1, lambda v: periodic._check_schedule((v,), 1, Fraction(1, 2))),
     ("fls_step.ap_length", 1,
      lambda v: periodic.fls_step(_odds, 2, 100, 2, v, Fraction(1, 6))),
+    ("fls_step.n0", 1, lambda v: periodic.fls_step(_odds, 2, v, 2, 3, Fraction(1, 6))),
+    ("verify_density_drop.n0", 1,
+     lambda v: periodic.verify_density_drop(replace(_drop, n0=v), 2)),
     ("check_translate_inequality.n", 1,
      lambda v: periodic.check_translate_inequality(_odds, v, 1, 2, 3, 2)),
     ("check_translate_inequality.x", 1,

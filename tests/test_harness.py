@@ -69,10 +69,10 @@ def test_grower_matches_a_reference_greedy_and_draws_the_same_coins():
 
 
 # sha256 of the generators' outputs, and of the next draw after each call, for seeds 0..19;
-# drop instances are hashed as serialize_instance writes them, hex schedule entries included
+# drop instances are hashed as serialize_instance writes them, with the schedule as its ratio
 GENERATOR_DIGESTS = {
-    ("drop", 2): "4b08d3c797a62568677819ffae228cfcd179a6b487c0f06c4dfe2a046721d616",
-    ("drop", 3): "1a7adae8567939957882a9d3420f81f91dd369403ee19c8e9145bf8430bf877b",
+    ("drop", 2): "5be0d056c4cbcc1131f191300ff76dde12aa754afdfb9cebc5a1bc43bcd0a256",
+    ("drop", 3): "ff4f80f5e54d2570a0bb2a24dd543d7cf7ae09b3a1ce8179fa6fbf467370b5d8",
     ("inequality", 2): "0c21264e7048304e51590c96c3784855f213e9f2bf3e3f20cc8acdff4b3bbe71",
     ("inequality", 3): "f9e3fb560b242c34451370f2272a841eccbdf0ef5ab92fc2059aebb58ec3fa4e",
 }

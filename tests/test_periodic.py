@@ -42,6 +42,7 @@ from sumfree import (
     serialize_instance,
     verify_density_drop,
 )
+from sumfree.core import rational_string
 from sumfree.harness import find_progressions, grow_k_sum_free, random_drop_instance
 from sumfree import periodic
 from sumfree.periodic import SCHEDULE_BIT_CAP
@@ -463,18 +464,50 @@ def test_fls_step_default_schedule_is_the_geometric_one(values, modulus, tag):
 
 def test_fls_step_checks_only_a_schedule_its_caller_supplies(monkeypatch):
     odds, k, n0, q, i, eps, schedule = valid_odds_arguments()
-    checked = []
-    real = periodic._check_schedule
-
-    def spy(*args):
-        checked.append(args)
-        real(*args)
-
-    monkeypatch.setattr(periodic, "_check_schedule", spy)
+    built = []
+    real = periodic._scales
+    monkeypatch.setattr(
+        periodic, "_scales", lambda *args: map(lambda n: built.append(n) or n, real(*args))
+    )
+    # the scan builds entries only as it reads them, and containment reads none
     assert fls_step(odds, k, n0, q, i, eps).tag == "periodic-containment"
-    assert checked == []
-    assert fls_step(odds, k, n0, q, i, eps, schedule).tag == "periodic-containment"
-    assert checked == [(schedule, n0, Fraction(16 * k) / eps)]
+    assert built == []
+    # a supplied schedule is compared entry by entry with the derived one
+    assert fls_step(odds, k, n0, q, i, eps, list(schedule)).tag == "periodic-containment"
+    assert built == list(schedule)
+    built.clear()
+    # the upper half drops at index 1, so the scan stops after one entry
+    assert fls_step(IntSet.of(range(51, 101)), k, n0, 7, i, eps).index == 1
+    assert built == [schedule[0]]
+
+
+def test_the_scans_build_no_geometric_schedule(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("geometric_schedule was called")
+
+    monkeypatch.setattr(periodic, "geometric_schedule", refuse)
+    odds, k, n0, q, i, eps, _ = valid_odds_arguments()
+    assert fls_step(odds, k, n0, q, i, eps).tag == "periodic-containment"
+    assert fls_step(IntSet.of(range(51, 101)), k, n0, 7, i, eps).tag == "density-drop"
+    inst = random_drop_instance(3, random.Random(11), mirrored=True)
+    assert verify_density_drop(inst, 3) is True
+
+
+ALTERED_SCHEDULES = {
+    "short": geometric_schedule(100, Fraction(192), 10),
+    "slower-growing": tuple(19200 + j for j in range(200)),
+    "faster-growing": geometric_schedule(100, Fraction(193), 200),
+    "longer": geometric_schedule(100, Fraction(192), 201),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALTERED_SCHEDULES))
+def test_fls_step_refuses_a_schedule_other_than_the_derived_one(name):
+    # a Falsified instance records only the ratio, so no other schedule could be replayed
+    odds, k, n0, q, i, eps, _ = valid_odds_arguments()
+    derived = r"must equal geometric_schedule\(n0, 192, 200\)"
+    with pytest.raises(InvalidParameterError, match=derived):
+        fls_step(odds, k, n0, q, i, eps, ALTERED_SCHEDULES[name])
 
 
 def test_fls_step_rejects_bad_hypotheses():
@@ -485,11 +518,6 @@ def test_fls_step_rejects_bad_hypotheses():
         fls_step(sparse, k, n0, q, i, eps, schedule)
     with pytest.raises(InvalidParameterError, match="not k-sum-free"):
         fls_step(IntSet.of([1, 2, 3]), k, 3, q, i, eps, schedule)
-    with pytest.raises(InvalidParameterError, match="needs at least k"):
-        fls_step(odds, k, n0, q, i, eps, schedule[:10])
-    with pytest.raises(InvalidParameterError, match="grows by less than the required ratio"):
-        # ratio between consecutive scales too small
-        fls_step(odds, k, n0, q, i, eps, tuple(19200 + j for j in range(200)))
     with pytest.raises(InvalidParameterError, match="progression length for the drop bound"):
         # progression length below what this eps needs
         fls_step(odds, k, n0, q, 2, eps, schedule)
@@ -505,21 +533,28 @@ def test_instance_serialization_round_trip():
     assert '"eps"' in text
 
 
-def test_instance_round_trip_past_the_int_to_string_digit_limit():
-    # entries of 5001 and 10001 decimal digits, past CPython's default 4300
-    schedule = geometric_schedule(1, Fraction(10**5000), 2)
-    inst = replace(random_drop_instance(2, random.Random(5)), schedule=schedule)
-    text = serialize_instance(inst)
-    assert json.loads(text)["schedule"] == [hex(n) for n in schedule]
-    assert parse_instance(text) == inst
-
-
-@pytest.mark.parametrize("entry", [1, "1", "0x0", "-0x1", "0X1", "0x01", "0x_1", " 0x1", "0xg"])
-def test_parse_instance_refuses_any_other_schedule_entry(entry):
+@pytest.mark.parametrize("ratio", [1, 960, "960", "2/4", "0x2580", "1/0", " 960/1", "960/1.0"])
+def test_parse_instance_refuses_a_malformed_ratio(ratio):
     payload = json.loads(serialize_instance(random_drop_instance(2, random.Random(5))))
-    payload["schedule"][0] = entry
-    with pytest.raises(InvalidParameterError):
+    payload["ratio"] = ratio
+    with pytest.raises(InvalidParameterError, match="ratio must be 'n/d' in lowest terms"):
         parse_instance(json.dumps(payload))
+
+
+def test_parse_instance_refuses_keys_other_than_the_fields():
+    inst = random_drop_instance(2, random.Random(5))
+    payload = json.loads(serialize_instance(inst))
+    assert payload["ratio"] == rational_string(inst.ratio)
+    # the format that wrote every schedule entry, and no ratio, is refused, not read
+    old = dict(payload, schedule=[hex(n) for n in inst.schedule])
+    del old["ratio"]
+    old_format = r"unknown keys \['schedule'\] and lacks \['ratio'\]"
+    with pytest.raises(InvalidParameterError, match=old_format):
+        parse_instance(json.dumps(old))
+    with pytest.raises(InvalidParameterError, match=r"unknown keys \['note'\] and lacks \[\]"):
+        parse_instance(json.dumps(dict(payload, note="x")))
+    with pytest.raises(InvalidParameterError, match="unknown keys"):
+        parse_instance(json.dumps(list(payload)))
 
 
 def test_parse_instance_refuses_an_integer_past_the_digit_limit():
@@ -559,8 +594,9 @@ def _refused_drop_instances():
         ("beyond the horizon", replace(inst, n0=last - 1)),
         ("not writable", replace(inst, difference=unwritable)),
         ("not congruent", replace(inst, ap_length=1, ap_step=step)),
-        # an empty schedule: the scan finds no drop in its prefix and cannot decide
-        ("no drop found in the available prefix", replace(inst, schedule=())),
+        ("ratio must be an int or a Fraction", replace(inst, ratio=float(inst.ratio))),
+        # a schedule growing slower than 1/eps carries no drop bound
+        ("below 1/eps", replace(inst, ratio=1 / inst.eps - Fraction(1, 2))),
     ]
 
 
@@ -579,34 +615,11 @@ def test_verify_density_drop_refuses_each_failed_hypothesis(message, instance):
 def test_verify_density_drop_immediate_hit():
     # sparse set beyond n0 makes the very first scale drop below the bound
     s = IntSet.of(range(31, 61))
-    schedule = geometric_schedule(60, Fraction(200), 120)
     inst = DensityDropInstance(
         elements=s, n0=60, ap_start=31, ap_step=1, ap_length=5,
-        difference=31 - 32, eps=Fraction(1, 200), schedule=schedule, k=2,
+        difference=31 - 32, eps=Fraction(1, 200), ratio=Fraction(200), k=2,
     )
-    assert verify_density_drop(inst, 2) is True
-
-
-def test_verify_density_drop_rejects_broken_schedule():
-    s = IntSet.of(range(31, 61))
-    bad = tuple(range(61, 61 + 120))
-    inst = DensityDropInstance(
-        elements=s, n0=60, ap_start=31, ap_step=1, ap_length=5,
-        difference=-1, eps=Fraction(1, 200), schedule=bad, k=2,
-    )
-    with pytest.raises(InvalidParameterError):
-        verify_density_drop(inst, 2)
-
-
-def test_verify_density_drop_accepts_early_hit_on_short_schedule():
-    # a drop observed inside a shorter-than-nominal schedule still
-    # certifies; only a fruitless scan over short data refuses to decide
-    s = IntSet.of(range(31, 61))
-    schedule = geometric_schedule(60, Fraction(200), 10)
-    inst = DensityDropInstance(
-        elements=s, n0=60, ap_start=31, ap_step=1, ap_length=5,
-        difference=-1, eps=Fraction(1, 200), schedule=schedule, k=2,
-    )
+    assert inst.schedule == geometric_schedule(60, Fraction(200), 120)
     assert verify_density_drop(inst, 2) is True
 
 

@@ -283,11 +283,11 @@ def test_timeout_on_f4_returns_a_certified_lower_bound():
     ],
 )
 def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, digest):
-    # a clock that ticks once per read: bb reads it once at the start and then
-    # at every node, so a budget of B ticks stops it after exactly B + 1 nodes,
-    # whatever the machine.  These runs reach deep enough that bb
-    # renumbers its edges many times; the incumbent, its witness and the count
-    # pin the search order through them.
+    # a clock that ticks once per read: max_k_sum_free reads it once, before
+    # the hypergraph build, and bb then at every node, so a budget of B ticks
+    # stops it after exactly B + 1 nodes, whatever the machine.  These runs
+    # reach deep enough that bb renumbers its edges many times; the
+    # incumbent, its witness and the count pin the search order through them.
     f4 = generate(FolnerGrid.diagonal(4))
     monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
     r = max_k_sum_free(f4, k, strong=strong, budget=ticks)
