@@ -223,9 +223,7 @@ def _cmd_experiment_fls_soak(args) -> int:
 
 
 def _cmd_experiment_ratio(args) -> int:
-    sys.stdout.write(
-        run_ratio_experiment(args.k, args.m_max, budget=args.budget, timing=args.timing)
-    )
+    sys.stdout.write(run_ratio_experiment(args.k, args.m_max, budget=args.budget))
     return 0
 
 
@@ -242,7 +240,6 @@ def _cmd_experiment_extract(args) -> int:
             args.size,
             args.seed,
             magnitude=args.magnitude,
-            timing=args.timing,
         )
     )
     return 0
@@ -329,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     ratio.add_argument("--k", type=int, required=True)
     ratio.add_argument("--m-max", dest="m_max", type=int, required=True)
     ratio.add_argument("--budget", type=float, default=None)
-    ratio.add_argument("--timing", action="store_true")
     ratio.set_defaults(handler=_cmd_experiment_ratio)
     defect_exp = experiment_sub.add_parser("defect", help="defect vs closed form")
     defect_exp.add_argument("--a", type=int, required=True)
@@ -341,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     extract_exp.add_argument("--size", type=int, required=True)
     extract_exp.add_argument("--seed", type=int, required=True)
     extract_exp.add_argument("--magnitude", type=int, default=10**6)
-    extract_exp.add_argument("--timing", action="store_true")
     extract_exp.set_defaults(handler=_cmd_experiment_extract)
     soak = experiment_sub.add_parser("fls-soak", help="seeded soak of the periodic step")
     soak.add_argument("--trials", type=int, default=100, help="instances per wave")

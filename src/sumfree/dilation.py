@@ -238,8 +238,7 @@ def extract_dilate_exhaustive(s: IntSet, k: int, method: str = "auto") -> Extrac
     """
     if not s:
         raise InvalidParameterError("cannot extract from the empty set")
-    if not interval_is_k_sum_free(k):
-        raise FalsificationError(f"arc for k={k} failed its sum-freeness check")
+    _require_arity(k)
     required = 2 * sum(s.elements) + 2
     if method == "auto":
         method = "sweep" if required <= DEFAULT_SWEEP_CAP else "descent"

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within, _sums_of,
-    difference_witness, is_k_sum_free, rational_string,
+    difference_witness, is_k_sum_free, k_difference_set, rational_string,
 )
 from .errors import FalsificationError, InvalidParameterError
 
@@ -228,7 +228,9 @@ def parse_instance(text: str) -> DensityDropInstance:
             if not exact or rational_string(Fraction(value)) != value:
                 raise InvalidParameterError(f"{name} must be 'n/d' in lowest terms, got {value!r}")
             fields[name] = Fraction(value)
-        fields.update(elements=IntSet.of(fields["elements"]))
+        if type(fields["elements"]) is not list:
+            raise InvalidParameterError(f"elements must be a list, got {fields['elements']!r}")
+        fields.update(elements=IntSet(tuple(fields["elements"])))
         return DensityDropInstance(**fields)
     except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"malformed instance payload: {exc}") from None
@@ -420,14 +422,11 @@ def fls_step(
         return DensityDrop(*hit)
     x, m = ap
     # only a Falsified instance reads d, so it is derived after the scan fails.
-    # x's residue escapes the kernel, so for some sum t of k-1 smallest residue
-    # representatives the representative u of x + t exists; d is the least u - t
-    smallest: dict = {}
-    for a in restricted:
-        smallest.setdefault(a % modulus, a)
-    sums = _sums_of(tuple(smallest.values()), k - 1)
-    found = [smallest[(x + t) % modulus] - t for t in sums if (x + t) % modulus in smallest]
-    if not found:
+    # x's residue escapes the kernel, so some member minus k-1 members of the
+    # restriction is congruent to x mod Q; d is the least such difference
+    diffs = k_difference_set(restricted, k, n0)
+    d = min((t for t in diffs if (t - x) % modulus == 0), default=None)
+    if d is None:
         raise FalsificationError(
             "difference derivation failed although the start residue escapes the kernel"
         )
@@ -437,7 +436,7 @@ def fls_step(
         ap_start=x,
         ap_step=m,
         ap_length=ap_length,
-        difference=min(found),
+        difference=d,
         eps=eps / (16 * k),
         ratio=ratio,
         k=k,

@@ -411,8 +411,24 @@ def test_experiment_extract_csv_deterministic(capsys):
     assert main(argv) == 0
     assert first == capsys.readouterr().out
     rows = first.strip().splitlines()
-    assert rows[0].startswith("trial,n,extracted_size,guarantee")
+    assert rows[0] == "trial,n,extracted_size,guarantee,fraction_exact,fraction_decimal"
     assert rows[-1].startswith("mean,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "ratio", "--k", "2", "--m-max", "2"],
+        ["experiment", "extract", "--k", "2", "--trials", "1", "--size", "4", "--seed", "0"],
+    ],
+    ids=["ratio", "extract"],
+)
+def test_experiments_have_no_timing_option(capsys, argv):
+    # stdout stays deterministic, so no experiment takes an option that prints a clock
+    assert main(argv + ["--timing"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--timing" in captured.err
 
 
 def test_usage_errors_return_two(capsys):
@@ -484,8 +500,8 @@ def test_brute_refuses_a_time_budget(capsys, set_file):
 @pytest.mark.parametrize(
     "k, digest",
     [
-        ("2", "70a83131b2b6f7cdca3755ecd6da48477613166d5a1d3754a32b397620862e60"),
-        ("3", "150f1bd07d4c7a2e751a48b23a5c8216fa4dc73c6b4864925a71700c0fe3a4a1"),
+        ("2", "9acaeaf16974915d3ea7d456a4b1d9d7c38ac5b159e3a30124d5d55013a458d8"),
+        ("3", "302b40657bd64d80a61b5a28a81d14b7a551d1c984efe52ba4650c5b88f9fb6c"),
     ],
 )
 def test_experiment_ratio_output_is_pinned(capsys, k, digest):

@@ -25,7 +25,7 @@ from sumfree import (
     read_set_file,
     write_set_file,
 )
-from sumfree import core, experiments, folner, harness, measures, periodic
+from sumfree import core, dilation, experiments, folner, harness, measures, periodic
 
 
 def naive_violations(elements, k):
@@ -308,6 +308,8 @@ GUARDED_CALLS = [
     ("defect_closed_form", 1, lambda v: folner.defect_closed_form(_grid, v)),
     ("defect", 1, lambda v: folner.defect(_grid, v)),
     ("set_dilation_defect", 1, lambda v: folner.set_dilation_defect(_odds, v)),
+    # the function's only guard on k: exit 2 for k < 2 rests on it
+    ("extract_dilate_exhaustive.k", 2, lambda v: dilation.extract_dilate_exhaustive(_odds, v)),
     ("from_weights", 1, lambda v: measures.RationalMeasure.from_weights({v: 1})),
     ("uniform_measure", 1, lambda v: measures.uniform_measure(v)),
     ("pushforward_scale", 1, lambda v: measures.pushforward_scale(_uniform, v)),

@@ -36,6 +36,7 @@ from sumfree import (
     geometric_schedule,
     is_k_sum_free,
     is_residue_k_sum_free,
+    k_difference_set,
     min_ap_length,
     parse_instance,
     periodic_hull,
@@ -541,6 +542,25 @@ def test_parse_instance_refuses_a_malformed_ratio(ratio):
         parse_instance(json.dumps(payload))
 
 
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        (lambda e: e[::-1], "strictly increasing"),
+        (lambda e: e[::-1] + e[:1], "strictly increasing"),
+        (lambda e: e[:1] + e, "strictly increasing"),
+        (lambda e: {"1": 1}, "must be a list"),
+        (lambda e: "", "must be a list"),
+    ],
+    ids=["reversed", "reversed-with-a-repeat", "repeated", "object", "string"],
+)
+def test_parse_instance_refuses_elements_it_would_have_to_sort(change, problem):
+    # the set is read as written, so a file that IntSet.of would repair is refused
+    payload = json.loads(serialize_instance(random_drop_instance(2, random.Random(5))))
+    payload["elements"] = change(payload["elements"])
+    with pytest.raises(InvalidParameterError, match=problem):
+        parse_instance(json.dumps(payload))
+
+
 def test_parse_instance_refuses_keys_other_than_the_fields():
     inst = random_drop_instance(2, random.Random(5))
     payload = json.loads(serialize_instance(inst))
@@ -634,7 +654,10 @@ def test_falsified_branch_builds_an_instance_whose_hypotheses_hold(monkeypatch, 
         out = fls_step(upper, k, n0, q, min_ap_length(k, eps), eps)
         assert isinstance(out, Falsified)
         instance = out.instance
-        assert (instance.difference - instance.ap_start) % q == 0
+        congruent = [
+            t for t in k_difference_set(upper, k, n0) if (t - instance.ap_start) % q == 0
+        ]
+        assert instance.difference == min(congruent)
         assert verify_density_drop(instance, k) is False
 
 
