@@ -5,7 +5,8 @@ contributes its support set as a forbidden edge; a subset of A is
 k-sum-free exactly when it contains no edge in full.  Edges that contain
 another edge are dropped, since they can never be the binding constraint.
 Edges are bitmasks from the build onward; bit i stands for the i-th
-smallest element of A.
+smallest element of A.  The build decodes each support once, into the
+vertex ``positions`` that both solvers and the ``edges`` view read.
 
 Two solvers: a plain depth-first enumeration over subsets (``brute``),
 kept simple enough to trust as an oracle and guaranteeing the
@@ -54,15 +55,17 @@ BRUTE_SIZE_LIMIT = 30
 
 @dataclass(frozen=True)
 class ForbiddenHypergraph:
-    """Vertices plus the minimal supports of violating multisets, as bitmasks."""
+    """Vertices plus the minimal supports of violating multisets, as bitmasks,
+    and each edge's vertex positions, decoded once by ``build_hypergraph``."""
 
     vertices: IntSet
     masks: tuple[int, ...]
+    positions: tuple[tuple[int, ...], ...]
 
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         elements = self.vertices.elements
-        return tuple(tuple(elements[i] for i in _bits(m)) for m in self.masks)
+        return tuple(tuple(elements[i] for i in edge) for edge in self.positions)
 
 
 def build_hypergraph(s: IntSet, k: int, strong: bool = False) -> ForbiddenHypergraph:
@@ -82,12 +85,14 @@ def build_hypergraph(s: IntSet, k: int, strong: bool = False) -> ForbiddenHyperg
     # Kept edges are filed under their lowest bit: a kept subset of mask has its
     # lowest bit inside mask, so only the lists filed under mask's bits are tested.
     kept: list[int] = []
+    positions: list[tuple[int, ...]] = []
     by_lowest: dict[int, list[int]] = {}
-    for mask in sorted(supports, key=lambda m: (m.bit_count(), _bits(m))):
-        if not any(o & mask == o for i in _bits(mask) for o in by_lowest.get(i, ())):
+    for _, bits, mask in sorted((m.bit_count(), _bits(m), m) for m in supports):
+        if not any(o & mask == o for i in bits for o in by_lowest.get(i, ())):
             kept.append(mask)
-            by_lowest.setdefault((mask & -mask).bit_length() - 1, []).append(mask)
-    return ForbiddenHypergraph(s, tuple(kept))
+            positions.append(tuple(bits))
+            by_lowest.setdefault(bits[0], []).append(mask)
+    return ForbiddenHypergraph(s, tuple(kept), tuple(positions))
 
 
 @dataclass(frozen=True)
@@ -98,22 +103,22 @@ class SolveResult:
     status: str  # "optimal" or "timeout-lower-bound"
 
 
-def _mask_to_set(mask: int, vertices: tuple[int, ...]) -> IntSet:
-    return IntSet(tuple(vertices[i] for i in _bits(mask)))
+def _mask_to_set(mask: int, vertices: IntSet) -> IntSet:
+    return IntSet(tuple(vertices.elements[i] for i in _bits(mask)))
 
 
-def _edges_with(n: int, masks: Sequence[int]) -> list[list[int]]:
+def _edges_with(graph: ForbiddenHypergraph) -> list[list[int]]:
     """For each vertex, the edge masks that hold it, in edge order."""
-    edges_with: list[list[int]] = [[] for _ in range(n)]
-    for m in masks:
-        for i in _bits(m):
+    edges_with: list[list[int]] = [[] for _ in graph.vertices.elements]
+    for m, edge in zip(graph.masks, graph.positions):
+        for i in edge:
             edges_with[i].append(m)
     return edges_with
 
 
-def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResult:
-    n = len(vertices)
-    edges_with = _edges_with(n, masks)
+def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
+    n = len(graph.vertices)
+    edges_with = _edges_with(graph)
     best_size = -1
     best_mask = 0
     nodes = 0
@@ -137,10 +142,10 @@ def _solve_brute(vertices: tuple[int, ...], masks: tuple[int, ...]) -> SolveResu
         walk(idx + 1, cur, size)
 
     walk(0, 0, 0)
-    return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, "optimal")
+    return SolveResult(best_size, _mask_to_set(best_mask, graph.vertices), nodes, "optimal")
 
 
-def _frame(n: int, masks: Sequence[int], vertex_tuples: list[tuple[int, ...]]) -> tuple:
+def _frame(n: int, masks: Sequence[int], vertex_tuples: Sequence[tuple[int, ...]]) -> tuple:
     """Edge masks, their vertex tuples and each vertex's column: the positions
     of the edges that hold it, as a bitmask over this numbering of the edges."""
     column = [0] * n
@@ -150,18 +155,16 @@ def _frame(n: int, masks: Sequence[int], vertex_tuples: list[tuple[int, ...]]) -
     return masks, vertex_tuples, column
 
 
-def _solve_bb(
-    vertices: tuple[int, ...], masks: tuple[int, ...], deadline: Optional[float]
-) -> SolveResult:
-    n = len(vertices)
+def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveResult:
+    n = len(graph.vertices)
     all_mask = (1 << n) - 1
-    frame = _frame(n, masks, [tuple(_bits(m)) for m in masks])
+    frame = _frame(n, graph.masks, graph.positions)
     column = frame[2]
     # greedy passes, ascending then descending, each taking every vertex that
     # completes no edge; small vertices make the most sums, so the descending
     # pass is often the larger. max keeps the first of equals: ties go ascending.
     # They read edge lists, as decoding a wide column costs its width per bit
-    edges_with = _edges_with(n, masks)
+    edges_with = _edges_with(graph)
     seeds = []
     for order in (range(n), range(n - 1, -1, -1)):
         seed = 0
@@ -177,7 +180,7 @@ def _solve_bb(
     # a node: the vertices taken and forced out on its path; `alive`, the frame
     # positions of the edges not meeting `out`; `cols`, the frame's columns with
     # each taken vertex's set to 0; and `taken`, the vertex its parent took, or -1
-    stack = [(0, 0, (1 << len(masks)) - 1, column, frame, -1)]
+    stack = [(0, 0, (1 << len(graph.masks)) - 1, column, frame, -1)]
     while stack:
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
@@ -232,7 +235,7 @@ def _solve_bb(
         cols = cols.copy()
         cols[branch] = 0
         stack.append((chosen | 1 << branch, out, alive, cols, frame, branch))
-    return SolveResult(best_size, _mask_to_set(best_mask, vertices), nodes, status)
+    return SolveResult(best_size, _mask_to_set(best_mask, graph.vertices), nodes, status)
 
 
 def max_k_sum_free(
@@ -260,9 +263,9 @@ def max_k_sum_free(
     deadline = None if budget is None else time.monotonic() + budget
     graph = build_hypergraph(s, k, strong=strong)
     if algo == "brute":
-        result = _solve_brute(s.elements, graph.masks)
+        result = _solve_brute(graph)
     else:
-        result = _solve_bb(s.elements, graph.masks, deadline)
+        result = _solve_bb(graph, deadline)
     checker = is_strongly_k_sum_free if strong else is_k_sum_free
     if not checker(result.witness, k):
         raise FalsificationError("solver witness fails the sum-freeness predicate")

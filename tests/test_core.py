@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from sumfree import (
     IntSet,
     InvalidParameterError,
+    ResourceLimitError,
     Violation,
     difference_witness,
     find_violation,
@@ -102,6 +103,22 @@ def test_k_difference_set_examples():
     assert k_difference_set(IntSet.of([5]), 2, 4) == frozenset()
 
 
+def test_difference_cap_stops_the_set_before_its_sums(monkeypatch):
+    # A ∩ [1, 10] at k = 3 forms up to 10·(2·10 + 1) = 210 differences
+    s = IntSet.of(range(1, 21))
+    monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 210)
+    assert k_difference_set(s, 3, 10) == frozenset(range(1 - 20, 10 - 2 + 1))
+
+    def refuse(*args):
+        raise AssertionError("the sums were built past the cap")
+
+    monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 209)
+    monkeypatch.setattr(core, "_sums_of", refuse)
+    with pytest.raises(ResourceLimitError) as err:
+        k_difference_set(s, 3, 10)
+    assert err.value.required == 210
+
+
 def test_difference_witness_examples():
     assert difference_witness(IntSet.of([2, 3]), 0, 2) == 2
     assert difference_witness(IntSet.of([2, 3]), 1, 2) == 3
@@ -134,7 +151,8 @@ def test_violation_is_smallest_and_sound(values, k):
     else:
         best = min((total, combo) for combo, total in everything)
         assert got is not None
-        assert got.holds_in(s)
+        assert sum(got.summands) == got.total
+        assert all(a in s for a in got.summands) and got.total in s
         assert (got.total, got.summands) == best
 
 

@@ -26,6 +26,7 @@ from sumfree import (
     max_k_sum_free,
 )
 from sumfree import solver
+from sumfree.core import _bits
 from sumfree.solver import BRUTE_SIZE_LIMIT
 
 
@@ -363,17 +364,24 @@ def test_every_edge_has_at_least_two_vertices(k, strong):
     sets = [IntSet.of(rng.sample(range(1, 60 + 20 * i), 12 + 3 * i)) for i in range(8)]
     sets.append(generate(FolnerGrid.diagonal(3)))
     for s in sets:
-        masks = build_hypergraph(s, k, strong=strong).masks
+        h = build_hypergraph(s, k, strong=strong)
+        masks = h.masks
         assert masks
         assert all(m.bit_count() >= 2 for m in masks)
+        # the build decodes each mask once; the view reads the decoded positions
+        assert h.positions == tuple(tuple(_bits(m)) for m in masks)
+        assert h.edges == tuple(tuple(s.elements[i] for i in _bits(m)) for m in masks)
 
 
 def test_edge_mask_examples():
     h = build_hypergraph(IntSet.of([1, 2, 3]), 2)
     assert h.masks == (0b011,)
+    assert h.positions == ((0, 1),)
     h = build_hypergraph(IntSet.of([1, 2, 6]), 3)
     assert h.masks == (0b110,)
-    assert build_hypergraph(IntSet.of([]), 2).masks == ()
+    assert h.positions == ((1, 2),)
+    h = build_hypergraph(IntSet.of([]), 2)
+    assert h.masks == h.positions == ()
 
 
 def test_f4_build_at_k3_is_pinned_and_fast():
