@@ -10,7 +10,9 @@ as an averaging substrate for dilation extraction.
 
 The defect has a closed form read off a's factorization.  ``defect`` keeps
 an independent route for it (direct set arithmetic while the grid is small
-enough to enumerate) so the two can be cross-checked.
+enough to enumerate) so the two can be cross-checked.  That route keeps the
+element set of the last grid it enumerated until another grid is asked for,
+so a sweep over many factors of one grid builds the set once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import isqrt, prod
 from typing import Optional
 
 from .core import IntSet, _require_int, _require_within
@@ -26,6 +28,9 @@ from .errors import InvalidParameterError
 
 DEFAULT_GENERATE_CAP = 10**7
 DEFAULT_DEFECT_ENUMERATION_CAP = 10**5
+# Size times the largest element's bit length, as ``defect`` keeps its set alive;
+# FolnerGrid(5, 10), at the element cap, needs 10^5 * 101 bits.
+DEFECT_ENUMERATION_BIT_CAP = 2 * 10**7
 
 
 def first_primes(count: int) -> tuple[int, ...]:
@@ -136,18 +141,34 @@ def _injective_defect(members: frozenset, a: int) -> Fraction:
     return Fraction(2 * (len(members) - shared), len(members))
 
 
+# The element set of the last grid ``defect`` enumerated, keyed by that grid;
+# one entry at most.
+_enumerated: dict[FolnerGrid, frozenset] = {}
+
+
 def defect(grid: FolnerGrid, a: int) -> Fraction:
     """Exact dilation defect |aF △ F| / |F|.
 
     Grids small enough to enumerate are measured directly by
     ``_injective_defect``, which counts |aF ∩ F| by membership in the set of
     grid elements.  That keeps this route independent of
-    ``defect_closed_form``, which grids past DEFAULT_DEFECT_ENUMERATION_CAP return.
+    ``defect_closed_form``, which grids past DEFAULT_DEFECT_ENUMERATION_CAP
+    elements or DEFECT_ENUMERATION_BIT_CAP bits (size times the largest
+    element's bit length) return.  The element set of the last grid
+    enumerated is kept until another grid is asked for.
     """
     _require_int(a, "dilation factor")
-    if grid.size() > DEFAULT_DEFECT_ENUMERATION_CAP:
+    size = grid.size()
+    # the element cap first: the largest element is formed only for a small grid
+    if size > DEFAULT_DEFECT_ENUMERATION_CAP or size * (
+        prod(grid.primes) ** (grid.exponent_bound - 1)
+    ).bit_length() > DEFECT_ENUMERATION_BIT_CAP:
         return defect_closed_form(grid, a)
-    return _injective_defect(frozenset(_products(grid)), a)
+    members = _enumerated.get(grid)
+    if members is None:
+        _enumerated.clear()  # release the last grid's set before building this one
+        members = _enumerated[grid] = frozenset(_products(grid))
+    return _injective_defect(members, a)
 
 
 def set_dilation_defect(f: IntSet, a: int) -> Fraction:

@@ -108,6 +108,7 @@ def test_difference_cap_stops_the_set_before_its_sums(monkeypatch):
     s = IntSet.of(range(1, 21))
     monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 210)
     assert k_difference_set(s, 3, 10) == frozenset(range(1 - 20, 10 - 2 + 1))
+    assert difference_witness(s.upto(10), 0, 3) == 2
 
     def refuse(*args):
         raise AssertionError("the sums were built past the cap")
@@ -117,6 +118,16 @@ def test_difference_cap_stops_the_set_before_its_sums(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         k_difference_set(s, 3, 10)
     assert err.value.required == 210
+    with pytest.raises(ResourceLimitError) as err:
+        difference_witness(s.upto(10), 0, 3)
+    assert err.value.required == 210
+
+
+def test_difference_witness_refuses_past_the_default_work_cap():
+    # 4000·(2·4000 + 1) differences: without the cap it builds 16M sums
+    with pytest.raises(ResourceLimitError) as err:
+        difference_witness(IntSet.of(range(1, 4001)), 0, 3)
+    assert err.value.required == 4000 * 8001 > core.DIFFERENCE_WORK_CAP
 
 
 def test_difference_witness_examples():

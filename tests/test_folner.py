@@ -20,7 +20,8 @@ from sumfree import (
     generate,
     set_dilation_defect,
 )
-from sumfree.folner import DEFAULT_DEFECT_ENUMERATION_CAP
+from sumfree import folner
+from sumfree.folner import DEFAULT_DEFECT_ENUMERATION_CAP, DEFECT_ENUMERATION_BIT_CAP
 
 
 def brute_defect(grid: FolnerGrid, a: int) -> Fraction:
@@ -146,6 +147,39 @@ def test_defect_takes_the_closed_form_just_past_the_enumeration_cap(monkeypatch)
 
     monkeypatch.setattr("sumfree.folner._injective_defect", refuse)
     assert {a: defect(grid, a) for a in factors} == expected
+
+
+def test_defect_takes_the_closed_form_just_past_the_bit_cap(monkeypatch):
+    # FolnerGrid(1, b) holds 1, 2, ..., 2^(b-1): b elements of at most b bits
+    within, past = FolnerGrid(1, 4472), FolnerGrid(1, 4473)
+    assert within.size() * 4472 <= DEFECT_ENUMERATION_BIT_CAP < past.size() * 4473
+    factors = (1, 2, 6, 2**4471, 2**4472)
+    expected = {g: {a: set_dilation_defect(generate(g), a) for a in factors} for g in (within, past)}
+
+    def refuse(*args):
+        raise AssertionError("the wrong defect route answered")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("sumfree.folner.defect_closed_form", refuse)
+        assert {a: defect(within, a) for a in factors} == expected[within]
+    monkeypatch.setattr("sumfree.folner._injective_defect", refuse)
+    assert {a: defect(past, a) for a in factors} == expected[past]
+
+
+def test_defect_reuses_the_last_grids_set_and_only_that():
+    # equal sizes with different elements, then equal but distinct objects: a set
+    # kept under a key coarser than the grid answers for the wrong grid here
+    sequence = [(2, 4), (4, 2), (2, 4), (2, 4), (2, 3), (3, 2), (3, 2), (2, 3)]
+    last = None
+    for r, b in sequence:
+        grid = FolnerGrid(r, b)
+        kept = folner._enumerated.get(grid)
+        for a in (1, 2, 3, 5, 6, 7, 12, 30):
+            assert defect(grid, a) == defect_closed_form(grid, a)
+        assert folner._enumerated == {grid: frozenset(generate(grid).elements)}
+        if grid == last:
+            assert grid is not last and folner._enumerated[grid] is kept
+        last = grid
 
 
 @given(
