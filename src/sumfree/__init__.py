@@ -11,7 +11,6 @@ import types
 from .core import (
     IntSet,
     Violation,
-    difference_witness,
     find_violation,
     format_set_text,
     is_k_sum_free,
@@ -66,7 +65,6 @@ from .periodic import (
     find_ap,
     fls_step,
     geometric_schedule,
-    is_residue_k_sum_free,
     min_ap_length,
     parse_instance,
     periodic_hull,

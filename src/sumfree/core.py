@@ -4,8 +4,7 @@ A set A of positive integers is k-sum-free when no multiset of k elements
 of A (repetition allowed) sums to an element of A.  Strong k-sum-freeness
 asks the same for every arity from 2 up to k.  This module holds the set
 type used throughout the package, the predicates with their violation
-certificates, and the difference-set helpers used by the periodic
-machinery.
+certificates, and the difference set used by the periodic machinery.
 
 Two independent routes decide the predicate: a bitset route that builds
 iterated sumsets by shifted OR on Python integers, and a direct multiset
@@ -243,13 +242,6 @@ def is_strongly_k_sum_free(s: IntSet, k: int) -> bool:
     return all(is_k_sum_free(s, ell) for ell in range(2, k + 1))
 
 
-def _require_difference_work(elements: tuple[int, ...], k: int) -> None:
-    """Refuse when |A|·((k-1)·max A + 1), the differences u - v_1 - ... - v_{k-1}
-    of the sorted, nonempty ``elements`` could form, passes DIFFERENCE_WORK_CAP."""
-    work = len(elements) * ((k - 1) * elements[-1] + 1)
-    _require_within(work, DIFFERENCE_WORK_CAP, "difference set needs up to {} differences")
-
-
 def _sums_of(elements: tuple[int, ...], count: int) -> set:
     """All sums of ``count`` elements, repetition allowed; {0} when count is 0."""
     sums = {0}
@@ -269,26 +261,10 @@ def k_difference_set(s: IntSet, k: int, n: int) -> frozenset:
     restricted = s.upto(n).elements
     if not restricted:
         return frozenset()
-    _require_difference_work(restricted, k)
+    work = len(restricted) * ((k - 1) * restricted[-1] + 1)
+    _require_within(work, DIFFERENCE_WORK_CAP, "difference set needs up to {} differences")
     sums = _sums_of(restricted, k - 1)
     return frozenset(u - t for u in restricted for t in sums)
-
-
-def difference_witness(s: IntSet, t: int, k: int) -> Optional[int]:
-    """Smallest u in s with t = u - v_1 - ... - v_{k-1} for some v_i in s.
-
-    Returns None when no such u exists.  A witness exists exactly when t
-    lies in k_difference_set(s, k, max(s)); DIFFERENCE_WORK_CAP bounds both alike.
-    """
-    _require_arity(k)
-    if not s:
-        return None
-    _require_difference_work(s.elements, k)
-    sums = _sums_of(s.elements, k - 1)
-    for u in s.elements:
-        if u - t in sums:
-            return u
-    return None
 
 
 def parse_set_text(text: str) -> IntSet:

@@ -97,7 +97,8 @@ def mix(coefficients: Sequence[Fraction], measures: Sequence[RationalMeasure]) -
             numerators[point] = numerators.get(point, 0) + scaled
     weight_of = {n: Fraction(n, common) for n in set(numerators.values())}
     weights = {point: weight_of[n] for point, n in numerators.items()}
-    return RationalMeasure(weights, Fraction(sum(numerators.values()), common), max(weights))
+    mass = Fraction(sum(numerators.values()), common)
+    return RationalMeasure(weights, mass, max(weights, default=0))
 
 
 def pushforward_scale(m: RationalMeasure, q: int) -> RationalMeasure:
@@ -139,6 +140,8 @@ class NuSchedule:
         for j, n in enumerate(self.n_sequence):
             _require_int(n, f"scale {j}", prev + 1)  # so the scales strictly increase
             prev = n
+        for j, end in enumerate(self.block_ends):
+            _require_int(end, f"block boundary {j}", 0)
         if not self.block_ends or self.block_ends[0] != 0:
             raise InvalidParameterError("block boundaries must start at index 0")
         for lo, hi in zip(self.block_ends, self.block_ends[1:]):

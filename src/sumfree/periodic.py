@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within, _sums_of,
-    difference_witness, is_k_sum_free, k_difference_set, rational_string,
+    is_k_sum_free, k_difference_set, rational_string,
 )
 from .errors import FalsificationError, InvalidParameterError
 
@@ -63,23 +63,14 @@ def periodic_hull(s: IntSet, n0: int, modulus: int) -> ResidueSet:
     return ResidueSet.of(modulus, s.upto(n0))
 
 
-def is_residue_k_sum_free(r: ResidueSet, k: int) -> bool:
-    """No multiset of k residues of r sums, mod Q, to a residue of r.
-
-    Equivalent to the represented periodic set being k-sum-free in N:
-    large representatives realize any residue identity with honest sums.
-    Decided as difference_kernel(r, k) == r, since a sum of k residues is
-    one residue plus k-1 more.
-    """
-    return difference_kernel(r, k) == r
-
-
 def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
     """Residues of r that stay outside r under adding any k-1 residues of r.
 
     The result is always k-sum-free at residue level: a sum of k kernel
     members is a kernel member plus k-1 members of r, which by the
-    defining condition cannot land in r, let alone in the kernel.
+    defining condition cannot land in r, let alone in the kernel.  r is
+    k-sum-free at residue level, and so is the periodic set it stands for,
+    exactly when the kernel is all of r.
     """
     _require_arity(k)
     shifts = {t % r.modulus for t in _sums_of(tuple(r.residues), k - 1)}
@@ -291,8 +282,7 @@ def verify_density_drop(instance: DensityDropInstance, k: int) -> bool:
         raise InvalidParameterError(
             f"progression reaches {last}, beyond the horizon {instance.n0}"
         )
-    restricted = instance.elements.upto(instance.n0)
-    if difference_witness(restricted, instance.difference, k) is None:
+    if instance.difference not in k_difference_set(instance.elements, k, instance.n0):
         raise InvalidParameterError(
             f"difference {instance.difference} is not writable as one member "
             f"minus {k - 1} members within [1, {instance.n0}]"

@@ -16,7 +16,6 @@ from sumfree import (
     InvalidParameterError,
     ResourceLimitError,
     Violation,
-    difference_witness,
     find_violation,
     format_set_text,
     is_k_sum_free,
@@ -108,7 +107,6 @@ def test_difference_cap_stops_the_set_before_its_sums(monkeypatch):
     s = IntSet.of(range(1, 21))
     monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 210)
     assert k_difference_set(s, 3, 10) == frozenset(range(1 - 20, 10 - 2 + 1))
-    assert difference_witness(s.upto(10), 0, 3) == 2
 
     def refuse(*args):
         raise AssertionError("the sums were built past the cap")
@@ -118,22 +116,22 @@ def test_difference_cap_stops_the_set_before_its_sums(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         k_difference_set(s, 3, 10)
     assert err.value.required == 210
+
+
+def test_verifier_refuses_a_difference_set_past_the_default_work_cap(monkeypatch):
+    # (1333, 4000] is 3-sum-free, and its 2667·(2·4000 + 1) differences pass the cap
+    instance = periodic.DensityDropInstance(
+        elements=IntSet.of(range(1334, 4001)), n0=4000, ap_start=1334, ap_step=1,
+        ap_length=3, difference=-1334, eps=Fraction(1, 48), ratio=Fraction(48), k=3,
+    )
+
+    def refuse(*args):
+        raise AssertionError("the sums were built past the cap")
+
+    monkeypatch.setattr(core, "_sums_of", refuse)
     with pytest.raises(ResourceLimitError) as err:
-        difference_witness(s.upto(10), 0, 3)
-    assert err.value.required == 210
-
-
-def test_difference_witness_refuses_past_the_default_work_cap():
-    # 4000·(2·4000 + 1) differences: without the cap it builds 16M sums
-    with pytest.raises(ResourceLimitError) as err:
-        difference_witness(IntSet.of(range(1, 4001)), 0, 3)
-    assert err.value.required == 4000 * 8001 > core.DIFFERENCE_WORK_CAP
-
-
-def test_difference_witness_examples():
-    assert difference_witness(IntSet.of([2, 3]), 0, 2) == 2
-    assert difference_witness(IntSet.of([2, 3]), 1, 2) == 3
-    assert difference_witness(IntSet.of([2, 3]), 5, 2) is None
+        periodic.verify_density_drop(instance, 3)
+    assert err.value.required == 2667 * 8001 > core.DIFFERENCE_WORK_CAP
 
 
 @given(small_sets, arities)
@@ -192,23 +190,6 @@ def test_strongly_at_two_is_plain():
     for raw in [(1, 2, 3), (2, 3), (4, 5, 6, 13), (3, 11, 12)]:
         s = IntSet.of(raw)
         assert is_strongly_k_sum_free(s, 2) == is_k_sum_free(s, 2)
-
-
-@given(small_sets, arities, st.integers(min_value=-40, max_value=60))
-def test_witness_iff_difference_member(values, k, t):
-    s = IntSet.of(values)
-    if not s:
-        assert difference_witness(s, t, k) is None
-        return
-    diffs = k_difference_set(s, k, s.largest())
-    witness = difference_witness(s, t, k)
-    assert (witness is not None) == (t in diffs)
-    if witness is not None:
-        assert witness in s
-        remainder = witness - t
-        # witness minus t must split into k-1 members
-        parts = combinations_with_replacement(s.elements, k - 1)
-        assert any(sum(p) == remainder for p in parts)
 
 
 @given(small_sets, arities, st.integers(min_value=1, max_value=40))
@@ -343,6 +324,8 @@ GUARDED_CALLS = [
     ("uniform_measure", 1, lambda v: measures.uniform_measure(v)),
     ("pushforward_scale", 1, lambda v: measures.pushforward_scale(_uniform, v)),
     ("NuSchedule", 1, lambda v: measures.NuSchedule((v,), (0,), Fraction(1, 4), 2)),
+    ("NuSchedule.block_ends", 0,
+     lambda v: measures.NuSchedule((1, 2, 3), (0, v), Fraction(1, 4), 2)),
     ("build_mu.i_max", 1, lambda v: measures.build_mu(v, 2, 2, measures.uniform_measure)),
     ("build_mu.q", 1, lambda v: measures.build_mu(2, v, 2, measures.uniform_measure)),
     ("build_mu.n_start", 1, lambda v: measures.build_mu(2, 2, 2, measures.uniform_measure, v)),

@@ -18,12 +18,12 @@ from sumfree import (
     build_mu,
     build_nu,
     contraction_index,
+    difference_kernel,
     evaluate,
     is_k_sum_free,
     mix,
     parse_measure,
     periodic_hull,
-    is_residue_k_sum_free,
     pushforward_scale,
     serialize_measure,
     uniform_measure,
@@ -72,6 +72,13 @@ def test_mix_drops_zero_coefficients_from_support():
     got = mix([Fraction(1), Fraction(0)], [uniform_measure(2), uniform_measure(9)])
     assert got == uniform_measure(2)
     assert got.support_max == 2
+
+
+def test_mix_of_zero_measures_is_the_zero_measure():
+    zero = RationalMeasure.from_weights({})
+    assert mix([Fraction(1)], [zero]) == zero
+    assert mix([Fraction(1, 2), Fraction(1, 2)], [zero, zero]) == zero
+    assert mix([Fraction(1), Fraction(0)], [zero, uniform_measure(3)]) == zero
 
 
 def test_pushforward_examples():
@@ -309,7 +316,7 @@ def test_contraction_bound_on_periodic_corpus():
         s = IntSet.of(x for x in range(1, mu.support_max + 1, 2) if rng.random() < keep)
         assert is_k_sum_free(s, k)
         hull = periodic_hull(s, mu.support_max, q)
-        assert is_residue_k_sum_free(hull, k)
+        assert difference_kernel(hull, k) == hull
         assert evaluate(mu, s) <= ceiling
 
 

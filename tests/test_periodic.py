@@ -35,7 +35,6 @@ from sumfree import (
     fls_step,
     geometric_schedule,
     is_k_sum_free,
-    is_residue_k_sum_free,
     k_difference_set,
     min_ap_length,
     parse_instance,
@@ -81,9 +80,10 @@ def test_hull_contains_restriction(values, q, n0):
 
 
 def test_residue_sum_free_examples():
-    assert is_residue_k_sum_free(ResidueSet.of(2, [1]), 2) is True
-    assert is_residue_k_sum_free(ResidueSet.of(6, [0]), 2) is False
-    assert is_residue_k_sum_free(ResidueSet.of(5, [1, 2]), 2) is False
+    # r is k-sum-free at residue level exactly when its kernel is all of r
+    for q, residues, expected in [(2, [1], True), (6, [0], False), (5, [1, 2], False)]:
+        r = ResidueSet.of(q, residues)
+        assert (difference_kernel(r, 2) == r) is expected
 
 
 def test_residue_sum_free_matches_integer_realization():
@@ -96,7 +96,7 @@ def test_residue_sum_free_matches_integer_realization():
         r = ResidueSet.of(q, residues)
         k = rng.choice([2, 3])
         realized = IntSet.of(n for n in range(1, 6 * q * k + 1) if n % q in residues)
-        assert is_residue_k_sum_free(r, k) == is_k_sum_free(realized, k)
+        assert (difference_kernel(r, k) == r) == is_k_sum_free(realized, k)
 
 
 def test_difference_kernel_examples():
@@ -124,7 +124,7 @@ def test_residue_predicate_and_kernel_match_their_definitions():
                 for c in combinations_with_replacement(sorted(residues), count)
             )
 
-        assert is_residue_k_sum_free(r, k) is not hits(0, k)
+        assert (difference_kernel(r, k) == r) is not hits(0, k)
         kernel = [x for x in residues if not hits(x, k - 1)]
         assert difference_kernel(r, k) == ResidueSet.of(q, kernel)
 
@@ -157,7 +157,8 @@ def test_kernel_decides_residue_sum_freeness_like_the_k_fold_sums():
         else:
             residues = set(rng.sample(range(q), min(q, rng.randrange(1, 7))))
         expected = k_fold_residue_sums_miss(residues, q, k)
-        assert is_residue_k_sum_free(ResidueSet.of(q, residues), k) is expected
+        r = ResidueSet.of(q, residues)
+        assert (difference_kernel(r, k) == r) is expected
         verdicts.append(expected)
     assert min(verdicts.count(True), verdicts.count(False)) >= 20
 
@@ -193,9 +194,8 @@ def test_kernel_is_always_residue_sum_free(q, raw, k):
     r = ResidueSet.of(q, residues)
     d = difference_kernel(r, k)
     assert d.residues <= r.residues
-    assert is_residue_k_sum_free(d, k)
-    if is_residue_k_sum_free(r, k):
-        assert d == r
+    assert difference_kernel(d, k) == d
+    assert (d == r) is k_fold_residue_sums_miss(residues, q, k)
 
 
 def test_kernel_translate_counting_bound():
@@ -215,7 +215,7 @@ def test_kernel_translate_counting_bound():
         residues = {r for r in range(q) if rng.random() < 0.5}
         r = ResidueSet.of(q, residues)
         k = rng.choice([2, 3, 4])
-        if is_residue_k_sum_free(r, k):
+        if difference_kernel(r, k) == r:
             continue
         violation = None
         for combo in combinations_with_replacement(sorted(residues), k):
