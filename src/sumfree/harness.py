@@ -1,16 +1,19 @@
 """Seeded generators for the randomized corpora used by tests and experiments.
 
 Everything here is deterministic given the supplied random.Random, so a
-corpus is identified by its seed.  The grower keeps bitsets of iterated
-sums and scans candidates upward, so a candidate above every member
-clashes only by being a k-fold sum: one bit test of sums[k].  Thinning
-draws one coin per non-seed candidate, in ascending order.
+corpus is identified by its seed.  The grower keeps unmasked bitsets of
+iterated sums, sums[1] being the member set, and scans candidates upward,
+so a candidate above every member clashes only by being a k-fold sum: one
+bit test of sums[k].  Commits are kept in a list as they are made, already
+ascending, so the result needs no decode.  Thinning draws one coin per
+non-seed candidate, in ascending order.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from numbers import Real
 from typing import Sequence
 
 from .core import IntSet, _bits, _require_arity, _require_int, k_difference_set
@@ -28,10 +31,10 @@ def random_int_set(rng: random.Random, size: int, magnitude: int) -> IntSet:
     return IntSet.of(rng.sample(range(1, magnitude + 1), size))
 
 
-def _clashes(sums: list, members: int, x: int, k: int) -> bool:
-    """Whether x is a sum of k members, or c*x plus k-c members is a member."""
+def _clashes(sums: list, x: int, k: int) -> bool:
+    """Whether x is a sum of k members, or c*x plus k-c members is a member (sums[1])."""
     return bool(sums[k] >> x & 1) or any(
-        sums[k - c] << (c * x) & members for c in range(1, k + 1)
+        sums[k - c] << (c * x) & sums[1] for c in range(1, k + 1)
     )
 
 
@@ -53,41 +56,57 @@ def grow_k_sum_free(
     """
     _require_arity(k)
     _require_int(horizon, "horizon")
-    if not 0.0 <= include_probability <= 1.0:
+    if (
+        type(include_probability) is bool
+        or not isinstance(include_probability, Real)
+        or not 0.0 <= include_probability <= 1.0
+    ):
         raise InvalidParameterError(
-            f"include probability must lie in [0, 1], got {include_probability}"
+            f"include probability must be a real number in [0, 1], got {include_probability!r}"
         )
     thin = include_probability < 1.0
     if thin and rng is None:
         raise InvalidParameterError("thinning requires a random generator")
-    window = (1 << (horizon + 1)) - 1
-    members = 0
-    sums = [1] + [0] * k  # sums[j]: bitset of the sums of j members, within the window
+    levels = range(1, k + 1)
+    sums = [1] + [0] * k  # sums[j]: the sums of j members, at most j*horizon; sums[1]: members
     for x in seed_elements:
         _require_int(x, "seed element")
         if x > horizon:
             raise InvalidParameterError(f"seed element {x} is outside [1, {horizon}]")
-        if members >> x & 1:
+        if sums[1] >> x & 1:
             continue
-        if _clashes(sums, members, x, k):
+        if _clashes(sums, x, k):
             raise InvalidParameterError("seed elements are not jointly k-sum-free")
-        members |= 1 << x
-        for j in range(1, k + 1):
-            sums[j] = (sums[j] | sums[j - 1] << x) & window
-    top = members.bit_length() - 1
-    candidates = [
-        x for x in range(1, horizon + 1)
-        if not members >> x & 1 and (not thin or rng.random() <= include_probability)
-    ]
+        total = 1
+        for j in levels:
+            total = sums[j] = sums[j] | total << x
+    seeded = sums[1]
+    top = seeded.bit_length() - 1
+    if seeded:
+        candidates = [
+            x for x in range(1, horizon + 1)
+            if not seeded >> x & 1 and (not thin or rng.random() <= include_probability)
+        ]
+    elif thin:
+        draw, p = rng.random, include_probability
+        candidates = [x for x in range(1, horizon + 1) if draw() <= p]
+    else:
+        candidates = range(1, horizon + 1)
+    kept = []
+    reach = sums[k]
     for x in candidates:
         # With no member above x, c*x plus k-c members exceeds every member, and
         # every sum that committing x adds exceeds x, so sums[k] at x is final.
-        if sums[k] >> x & 1 or x < top and _clashes(sums, members, x, k):
+        if reach >> x & 1 or x < top and _clashes(sums, x, k):
             continue
-        members |= 1 << x
-        for j in range(1, k + 1):
-            sums[j] = (sums[j] | sums[j - 1] << x) & window
-    return IntSet(tuple(_bits(members)))
+        kept.append(x)
+        total = 1
+        for j in levels:
+            total = sums[j] = sums[j] | total << x
+        reach = total
+    if seeded:
+        kept = sorted(_bits(seeded) + kept)
+    return IntSet(tuple(kept))
 
 
 def find_progressions(

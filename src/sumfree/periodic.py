@@ -13,7 +13,6 @@ fully replayable instance.
 from __future__ import annotations
 
 import json
-import math
 import re
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -123,16 +122,15 @@ def min_ap_length(k: int, eps: Fraction) -> int:
     """Least progression length i with (i+k-2)/(i(k+1)+k-3) <= 1/(k+1) + eps/4.
 
     The expression decreases to 1/(k+1) as i grows, so a minimum exists
-    for every positive eps.  Solved exactly in closed form: i(k+1)+k-3 and
-    target(k+1)-1 = (k+1)eps/4 are positive, so the ceiling is the least i.
+    for every positive eps.  Solved exactly in integers: with eps = a/b,
+    i(k+1)+k-3 and (k+1)a/(4b) are positive, so the inequality rearranges to
+    i >= (4b(k-1)^2 - (k-3)(k+1)a) / ((k+1)^2 a), and the ceiling is the least i.
     """
     _require_arity(k)
     eps = _require_rational(eps, "eps", 0)
-    target = Fraction(1, k + 1) + eps / 4
-    # (i+k-2) <= target*(i(k+1)+k-3) rearranges to i >= (k-2-target(k-3)) / (target(k+1)-1)
-    numer = k - 2 - target * (k - 3)
-    denom = target * (k + 1) - 1
-    return max(1, math.ceil(numer / denom))
+    a, b = eps.numerator, eps.denominator
+    numer = 4 * b * (k - 1) ** 2 - (k - 3) * (k + 1) * a
+    return max(1, -(-numer // ((k + 1) ** 2 * a)))
 
 
 def _scales(start: int, ratio: Fraction, count: int) -> Iterator[int]:

@@ -68,6 +68,30 @@ def test_grower_matches_a_reference_greedy_and_draws_the_same_coins():
         assert got_rng.random() == want_rng.random()
 
 
+def test_grower_matches_a_reference_greedy_with_seeds_anywhere():
+    # the residue class 1 mod k+1 is k-sum-free (k members sum to k mod k+1), so seeds drawn
+    # from it may lie anywhere in [1, horizon]; many lie above candidates that need the full test
+    meta = random.Random(3141)
+    for case in range(180):
+        k = 2 + case % 3
+        horizon = meta.randrange(1, 301)
+        p = (0.0, 0.3, 1.0)[case // 3 % 3]
+        pool = range(1, horizon + 1, k + 1)
+        seeds = meta.sample(pool, min(len(pool), meta.randrange(1, 6)))
+        seeds.append(meta.choice(seeds))
+        meta.shuffle(seeds)
+        got_rng, want_rng = random.Random(case), random.Random(case)
+        got = grow_k_sum_free(k, horizon, got_rng, p, seeds)
+        assert got == reference_grow(k, horizon, want_rng, p, seeds)
+        assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None, 1.5, -0.1, float("nan")], ids=repr)
+def test_grower_refuses_an_include_probability_that_is_no_real_number_in_the_unit_interval(bad):
+    with pytest.raises(InvalidParameterError, match="include probability"):
+        grow_k_sum_free(2, 50, random.Random(0), bad)
+
+
 # sha256 of the generators' outputs, and of the next draw after each call, for seeds 0..19;
 # drop instances are hashed as serialize_instance writes them, with the schedule as its ratio
 GENERATOR_DIGESTS = {

@@ -319,6 +319,19 @@ def test_min_ap_length_is_minimal():
             assert (i == 1) == (eps == 4)
 
 
+def test_min_ap_length_matches_a_direct_search():
+    # the least i with drop_expression(i, k) <= 1/(k+1) + eps/4, found by trying i = 1, 2, ...
+    denominators = (1, 2, 3, 7, 12, 40, 101, 399)
+    epsilons = sorted({Fraction(n, d) for n in range(1, 30) for d in denominators})
+    for k in range(2, 12):
+        for eps in epsilons:
+            target = Fraction(1, k + 1) + eps / 4
+            i = 1
+            while drop_expression(i, k) > target:
+                i += 1
+            assert min_ap_length(k, eps) == i, (k, eps)
+
+
 def test_drop_expression_limit():
     assert abs(drop_expression(10**6, 2) - Fraction(1, 3)) < Fraction(1, 10**6)
 
