@@ -99,21 +99,6 @@ def _slice_members(elements: tuple[int, ...], x: Fraction, k: int) -> list[int]:
     return out
 
 
-def _member_mass(a: int, k: int, p: int, c: int, s: int) -> int:
-    """p*a*s times the length of {x in [0, c/s) : frac(a*x) in the arc}.
-
-    The arcs of a are ((1 + j*p)/(p*a), (k + j*p)/(p*a)), 0 <= j < a: count
-    the ones that end by c/s, then add the part of the next one begun there.
-    """
-    q = c * p * a
-    full = (q - k * s) // (p * s) + 1
-    if full <= 0:
-        return max(q - s, 0)
-    if full >= a:
-        return (k - 1) * a * s
-    return (k - 1) * full * s + max(q - (1 + full * p) * s, 0)
-
-
 def _breakpoint_free(elements: tuple[int, ...], k: int, p: int, c: int, s: int) -> bool:
     """True iff no breakpoint (t + j*p)/(p*a) lies in the open interval (c/s, (c+1)/s)."""
     for a in elements:
@@ -192,17 +177,36 @@ def _descend(elements: tuple[int, ...], k: int) -> Fraction:
     The halving then keeps that breakpoint only while moving towards an end
     fixed since depth D, which is at least 1/(p*a*2^D) away from it, so
     fewer than 2*D + 2 steps always reach a breakpoint-free interval.
+
+    Each halving costs one divmod per member, and the breakpoint check is
+    skipped while 2^d < max(A), where no interval is free of breakpoints.
     """
     p = k * k - 1
     lcm = math.lcm(*elements)
-    weighted = [(a, lcm // a) for a in elements]
+    terms = [(p * a, lcm // a) for a in elements]
+    top = elements[-1]
     c, s = 0, 1
     mass_l, mass_r = 0, (k - 1) * lcm * len(elements)
-    for _ in range(2 * (p * elements[-1] ** 2).bit_length() + 2):
-        if _breakpoint_free(elements, k, p, c, s):
+    for _ in range(2 * (p * top**2).bit_length() + 2):
+        # the breakpoints (1 + j*p)/(p*top) cut [0, 1] into pieces no longer
+        # than 1/top, so while s < top the open interval of width 1/s holds one
+        if s >= top and _breakpoint_free(elements, k, p, c, s):
             return _region_midpoint(elements, k, p, lcm, c, s)
         c, s = 2 * c + 1, 2 * s
-        mass_m = sum(_member_mass(a, k, p, c, s) * w for a, w in weighted)
+        # a adds p*a*s times the length of {x in [0, c/s) : frac(a*x) in the
+        # arc}, times lcm/a.  Scaled so, its arcs are ((1 + j*p)*s, (k + j*p)*s),
+        # 0 <= j < a, against q = c*p*a.  divmod(q + lead, p*s) gives the
+        # full = (q - k*s) // (p*s) + 1 arcs that end by c/s, (k - 1)*s each,
+        # and r - gap = q - (1 + full*p)*s, the part of the next one if positive;
+        # q < p*a*s, so full <= a, and at full = a that part is negative.
+        ps, lead, gap = p * s, (p - k) * s, (p - k + 1) * s
+        whole = partial = 0
+        for pa, w in terms:
+            full, r = divmod(c * pa + lead, ps)
+            whole += full * w
+            if r > gap:
+                partial += (r - gap) * w
+        mass_m = (k - 1) * s * whole + partial
         mass_l, mass_r = 2 * mass_l, 2 * mass_r
         if 2 * mass_m >= mass_l + mass_r:
             c, mass_r = c - 1, mass_m

@@ -30,7 +30,13 @@ from sumfree import (
     set_dilation_defect,
     uniform_measure,
 )
-from sumfree.dilation import DEFAULT_SWEEP_CAP, _sweep
+from sumfree.dilation import (
+    DEFAULT_SWEEP_CAP,
+    _breakpoint_free,
+    _descend,
+    _region_midpoint,
+    _sweep,
+)
 
 
 def slice_members(s: IntSet, x: Fraction, lo: Fraction, hi: Fraction) -> IntSet:
@@ -417,6 +423,91 @@ def test_descent_localizes_thirty_elements_below_ten_to_sixty():
     rng = random.Random(200)
     s = IntSet.of(rng.randrange(1, 10**60) for _ in range(30))
     check_descent(s, 2)
+
+
+def reference_member_mass(a, k, p, c, s, seen):
+    """p*a*s times the length of {x in [0, c/s) : frac(a*x) in the arc}.
+
+    The arcs of a are ((1 + j*p)/(p*a), (k + j*p)/(p*a)), 0 <= j < a: count
+    the ones that end by c/s, then add the part of the next one begun there.
+    ``seen`` collects the boundary cases met: the midpoint on the start of
+    a's first arc, on the end of it, and past the end of its last arc.
+    """
+    q = c * p * a
+    if q == s:
+        seen.add("first-start")
+    if q == k * s:
+        seen.add("first-end")
+    full = (q - k * s) // (p * s) + 1
+    if full <= 0:
+        return max(q - s, 0)
+    if full >= a:
+        seen.add("all-ended")
+        return (k - 1) * a * s
+    return (k - 1) * full * s + max(q - (1 + full * p) * s, 0)
+
+
+def reference_descend(elements, k):
+    """The descent with one mass call per member per halving and a breakpoint
+    check at every depth; returns the midpoint and the boundary cases met."""
+    seen = set()
+    p = k * k - 1
+    lcm = math.lcm(*elements)
+    weighted = [(a, lcm // a) for a in elements]
+    c, s = 0, 1
+    mass_l, mass_r = 0, (k - 1) * lcm * len(elements)
+    for _ in range(2 * (p * elements[-1] ** 2).bit_length() + 2):
+        if _breakpoint_free(elements, k, p, c, s):
+            return _region_midpoint(elements, k, p, lcm, c, s), seen
+        c, s = 2 * c + 1, 2 * s
+        mass_m = sum(reference_member_mass(a, k, p, c, s, seen) * w for a, w in weighted)
+        mass_l, mass_r = 2 * mass_l, 2 * mass_r
+        if 2 * mass_m >= mass_l + mass_r:
+            c, mass_r = c - 1, mass_m
+        else:
+            mass_l = mass_m
+    raise AssertionError("reference descent did not localize")
+
+
+@pytest.mark.parametrize(
+    "exponent, per_k, max_size", [(2, 10, 12), (6, 10, 12), (60, 3, 8), (300, 1, 5)]
+)
+def test_descent_matches_the_reference_descent(exponent, per_k, max_size):
+    rng = random.Random(f"descent-oracle/{exponent}")
+    for k in range(2, 6):
+        for _ in range(per_k):
+            size = rng.randrange(1, max_size + 1)
+            elements = tuple(sorted({rng.randrange(1, 10**exponent) for _ in range(size)}))
+            assert _descend(elements, k) == reference_descend(elements, k)[0]
+
+
+# found by enumerating small sets: c*p*a = s or k*s at s = 2^d and odd c needs
+# p*a*c in {2^d, k*2^d}, so only k = 3 (p = 8) gets there, at a = 2^m or 3*2^m
+BOUNDARY_SETS = [
+    ((1, 2), 3, {"first-start", "first-end", "all-ended"}),
+    ((2, 3), 3, {"first-start", "first-end"}),
+    ((1,), 4, {"all-ended"}),
+    ((1,), 5, {"all-ended"}),
+]
+
+
+@pytest.mark.parametrize("elements, k, cases", BOUNDARY_SETS)
+def test_descent_matches_the_reference_on_arc_boundaries(elements, k, cases):
+    midpoint, seen = reference_descend(elements, k)
+    assert cases <= seen
+    assert _descend(elements, k) == midpoint
+
+
+def test_every_interval_wider_than_one_over_max_holds_a_breakpoint():
+    # the descent skips its breakpoint check while s < max(A); this is why
+    rng = random.Random("skip-invariant")
+    for k in range(2, 6):
+        p = k * k - 1
+        for _ in range(6):
+            elements = tuple(sorted(rng.sample(range(1, 40), rng.randrange(1, 6))))
+            for s in range(1, elements[-1]):
+                for c in range(s):
+                    assert not _breakpoint_free(elements, k, p, c, s)
 
 
 def test_explicit_sweep_respects_its_cap(monkeypatch):
