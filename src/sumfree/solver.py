@@ -13,23 +13,32 @@ kept simple enough to trust as an oracle and guaranteeing the
 lexicographically smallest optimal witness, and a branch-and-bound
 (``bb``) that branches on the vertex lying in the most alive edges and
 prunes with a greedy disjoint-edge bound.  Its edges live in a frame:
-the edge masks in one order, each edge's vertex tuple, and each vertex's
-column (the positions of the edges holding it, as a bitmask).  The seed,
+the edge masks in one order, each edge's vertex tuple, each vertex's
+column (the positions of the edges holding it, as a bitmask), and each
+edge's neighbourhood mask once the bound has built it.  The seed,
 ``bb``'s first incumbent, is the larger of an ascending and a descending
 greedy pass, ties to ascending; each pass takes every vertex that
-completes no edge, reading each vertex's edges as ``brute`` does.
-A ``bb`` node ``(chosen, out, alive, cols,
-frame, taken)`` holds the vertices taken and forced out, ``alive`` (the
-frame positions of the edges not meeting ``out``), the columns with each
-taken vertex's set to 0, and the vertex its parent just took; so a
-degree is one popcount of a masked column, and no node copies an edge
-list.  Every edge has at least 2 vertices (k >= 2 positive summands fall
-short of their total), and unit propagation keeps every alive edge at 2
-or more vertices not taken, so only the include child can gain units, on
-the edges through the vertex it took; one pass suffices, because forcing
-a vertex out never creates a unit.  Once the alive edges fill under 1/8
-of the frame they are renumbered into a new one, in the same order, so
-that each bitmask costs their count rather than the count of all edges.
+completes no edge.  Each edge is filed under its highest and its lowest
+vertex: ``brute`` and the ascending pass test a vertex against the edges
+it tops (the set grown so far has no higher vertex, so no other edge
+through it can be complete), the descending pass against the edges it
+starts.  A ``bb`` node ``(chosen, out, alive, cols, frame, taken,
+degrees, before)`` holds the vertices taken and forced out, ``alive``
+(the frame positions of the edges not meeting ``out``), the columns with
+each taken vertex's set to 0, the vertex its parent just took, and its
+parent's degree list and ``alive``; no node copies an edge list.  A node
+that passes the bound takes one off the degrees of the vertices of each
+edge that died since its parent, or recounts them by popcount when many
+died at once; so most nodes find the branching vertex, the one in the
+most alive edges, without a popcount of every column.  Every edge has at least 2 vertices (k >= 2
+positive summands fall short of their total), and unit propagation keeps
+every alive edge at 2 or more vertices not taken, so only the include
+child can gain units, on the edges through the vertex it took; one pass
+suffices, because forcing a vertex out never creates a unit.  The greedy
+bound clears a pick with no taken vertex by its neighbourhood mask, the
+OR of its vertices' columns, built on the pick's first use.  Once the alive edges fill under 1/8 of the frame they are
+renumbered into a new one, in the same order, so that each bitmask costs
+their count rather than the count of all edges.
 ``bb`` honors a wall-clock budget of positive finite seconds, started before
 the hypergraph build and read at every node: on expiry the best set found so
 far, the seed at least, is returned as a certified lower bound, not an optimum.
@@ -107,18 +116,19 @@ def _mask_to_set(mask: int, vertices: IntSet) -> IntSet:
     return IntSet(tuple(vertices.elements[i] for i in _bits(mask)))
 
 
-def _edges_with(graph: ForbiddenHypergraph) -> list[list[int]]:
-    """For each vertex, the edge masks that hold it, in edge order."""
-    edges_with: list[list[int]] = [[] for _ in graph.vertices.elements]
+def _filed(graph: ForbiddenHypergraph, end: int) -> list[list[int]]:
+    """For each vertex, the masks of the edges whose vertex ``edge[end]`` it is,
+    in edge order: the edges it tops for end = -1, the edges it starts for 0."""
+    filed: list[list[int]] = [[] for _ in graph.vertices.elements]
     for m, edge in zip(graph.masks, graph.positions):
-        for i in edge:
-            edges_with[i].append(m)
-    return edges_with
+        filed[edge[end]].append(m)
+    return filed
 
 
 def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
     n = len(graph.vertices)
-    edges_with = _edges_with(graph)
+    # `cur` holds no vertex above idx, so only the edges idx tops can be completed
+    edges_topped = _filed(graph, -1)
     best_size = -1
     best_mask = 0
     nodes = 0
@@ -137,7 +147,7 @@ def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
             return
         bit = 1 << idx
         grown = cur | bit
-        if all(m & ~grown for m in edges_with[idx]):
+        if all(m & ~grown for m in edges_topped[idx]):
             walk(idx + 1, grown, size + 1)
         walk(idx + 1, cur, size)
 
@@ -146,13 +156,15 @@ def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
 
 
 def _frame(n: int, masks: Sequence[int], vertex_tuples: Sequence[tuple[int, ...]]) -> tuple:
-    """Edge masks, their vertex tuples and each vertex's column: the positions
-    of the edges that hold it, as a bitmask over this numbering of the edges."""
+    """Edge masks, their vertex tuples, each vertex's column (the positions of
+    the edges that hold it, as a bitmask over this numbering of the edges), and
+    each edge's neighbourhood, the OR of its vertices' columns, built on first
+    use: 0 until then, since a built one holds the edge's own position."""
     column = [0] * n
     for pos, edge in enumerate(vertex_tuples):
         for i in edge:
             column[i] |= 1 << pos
-    return masks, vertex_tuples, column
+    return masks, vertex_tuples, column, [0] * len(masks)
 
 
 def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveResult:
@@ -163,39 +175,49 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
     # greedy passes, ascending then descending, each taking every vertex that
     # completes no edge; small vertices make the most sums, so the descending
     # pass is often the larger. max keeps the first of equals: ties go ascending.
-    # They read edge lists, as decoding a wide column costs its width per bit
-    edges_with = _edges_with(graph)
+    # A pass holds only vertices on one side of i, so the only edges through i it
+    # can complete are those i tops (ascending) or starts (descending)
     seeds = []
-    for order in (range(n), range(n - 1, -1, -1)):
+    for order, end in ((range(n), -1), (range(n - 1, -1, -1), 0)):
+        filed = _filed(graph, end)
         seed = 0
         for i in order:
             grown = seed | 1 << i
-            if all(m & ~grown for m in edges_with[i]):
+            if all(m & ~grown for m in filed[i]):
                 seed = grown
         seeds.append(seed)
     best_mask = max(seeds, key=int.bit_count)
     best_size = best_mask.bit_count()
     status = "optimal"
     nodes = 0
+    # a node decrements the degrees of the vertices of each edge dead since its
+    # parent, one step per vertex; once those steps would outnumber its n
+    # vertices, it recounts every degree by popcount instead
+    widest = max(map(len, graph.positions), default=0)
     # a node: the vertices taken and forced out on its path; `alive`, the frame
     # positions of the edges not meeting `out`; `cols`, the frame's columns with
-    # each taken vertex's set to 0; and `taken`, the vertex its parent took, or -1
-    stack = [(0, 0, (1 << len(graph.masks)) - 1, column, frame, -1)]
+    # each taken vertex's set to 0; `taken`, the vertex its parent took, or -1;
+    # and its parent's degree list and `alive`, from which it derives its own
+    alive = (1 << len(graph.masks)) - 1
+    stack = [(0, 0, alive, column, frame, -1, [c.bit_count() for c in column], alive)]
     while stack:
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             status = "timeout-lower-bound"
             break
-        chosen, out, alive, cols, frame, taken = stack.pop()
-        edge_masks, vertex_tuples, column = frame
+        chosen, out, alive, cols, frame, taken, degrees, before = stack.pop()
+        edge_masks, vertex_tuples, column, near = frame
         # unit propagation: an alive edge with one vertex not taken forces it out.
         # Only the edges through the vertex just taken can have come down to one.
         if taken >= 0:
             units = 0
-            for pos in _bits(alive & column[taken]):
-                r = edge_masks[pos] & ~chosen
+            through = alive & column[taken]
+            while through:
+                low = through & -through
+                r = edge_masks[low.bit_length() - 1] & ~chosen
                 if r & (r - 1) == 0:
                     units |= r
+                through ^= low
             if units:
                 out |= units
                 # x ^= x & c clears c's bits from x; on wide ints it beats x &= ~c,
@@ -205,12 +227,22 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
         # the greedy bound: walk the alive edges in order, picking each that shares
         # no vertex not taken with an earlier pick (a pick clears its own position,
         # as it keeps a vertex not taken); prune once the picks leave the vertices
-        # not out no room above the incumbent
+        # not out no room above the incumbent. A pick with no taken vertex clears
+        # its whole neighbourhood at once
         room = n - out.bit_count() - best_size
         rest = alive
         while rest and room > 0:
-            for i in vertex_tuples[(rest & -rest).bit_length() - 1]:
-                rest ^= rest & cols[i]
+            pos = (rest & -rest).bit_length() - 1
+            if edge_masks[pos] & chosen:
+                for i in vertex_tuples[pos]:
+                    rest ^= rest & cols[i]
+            else:
+                mask = near[pos]
+                if not mask:
+                    for i in vertex_tuples[pos]:
+                        mask |= column[i]
+                    near[pos] = mask
+                rest ^= rest & mask
             room -= 1
         if room <= 0:
             continue
@@ -218,6 +250,23 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
             best_size = n - out.bit_count()
             best_mask = all_mask & ~out
             continue
+        # the degree of a vertex is its count of alive edges: the parent's count,
+        # less one per edge that died since (through the excluded branch or a unit).
+        # A taken vertex's degree is 0 when taken and may go negative after, but
+        # every alive edge keeps 2 vertices not taken, so the maximum is positive
+        # and is a true count
+        dead = before ^ alive
+        if dead.bit_count() * widest > n:
+            degrees = None
+        else:
+            degrees = degrees.copy()
+            if taken >= 0:
+                degrees[taken] = 0
+            while dead:
+                low = dead & -dead
+                for i in vertex_tuples[low.bit_length() - 1]:
+                    degrees[i] -= 1
+                dead ^= low
         # renumber the alive edges once they fill under 1/8 of the frame, so that
         # each bitmask operation costs their count, not the count of all edges
         count = alive.bit_count()
@@ -228,13 +277,16 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
             )
             cols = [0 if chosen >> i & 1 else c for i, c in enumerate(frame[2])]
             alive = (1 << count) - 1
-        # the degree of a vertex is its count of alive edges; ties go to the lowest
-        degrees = [(c & alive).bit_count() for c in cols]
+        if degrees is None:
+            degrees = [(c & alive).bit_count() for c in cols]
+        # ties go to the lowest vertex
         branch = degrees.index(max(degrees))
-        stack.append((chosen, out | 1 << branch, alive ^ (alive & cols[branch]), cols, frame, -1))
+        stack.append(
+            (chosen, out | 1 << branch, alive ^ (alive & cols[branch]), cols, frame, -1, degrees, alive)
+        )
         cols = cols.copy()
         cols[branch] = 0
-        stack.append((chosen | 1 << branch, out, alive, cols, frame, branch))
+        stack.append((chosen | 1 << branch, out, alive, cols, frame, branch, degrees, alive))
     return SolveResult(best_size, _mask_to_set(best_mask, graph.vertices), nodes, status)
 
 

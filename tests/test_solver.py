@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
@@ -406,3 +407,121 @@ def test_edge_cap_stops_the_build(monkeypatch):
     assert err.value.required == 6
     monkeypatch.setattr("sumfree.solver.DEFAULT_EDGE_CAP", 10**4)
     assert build_hypergraph(s, 2).edges
+
+
+def _reference_frame(n, masks, vertex_tuples):
+    column = [0] * n
+    for pos, edge in enumerate(vertex_tuples):
+        for i in edge:
+            column[i] |= 1 << pos
+    return masks, vertex_tuples, column
+
+
+def reference_bb(graph, deadline):
+    """bb with nothing carried from parent to child but its bitmasks: every node
+    recounts each vertex's degree by popcount, every greedy pick clears vertex
+    by vertex, and the seeds read each vertex's full edge list."""
+    n = len(graph.vertices)
+    all_mask = (1 << n) - 1
+    frame = _reference_frame(n, graph.masks, graph.positions)
+    column = frame[2]
+    edges_with = [[] for _ in graph.vertices.elements]
+    for m, edge in zip(graph.masks, graph.positions):
+        for i in edge:
+            edges_with[i].append(m)
+    seeds = []
+    for order in (range(n), range(n - 1, -1, -1)):
+        seed = 0
+        for i in order:
+            grown = seed | 1 << i
+            if all(m & ~grown for m in edges_with[i]):
+                seed = grown
+        seeds.append(seed)
+    best_mask = max(seeds, key=int.bit_count)
+    best_size = best_mask.bit_count()
+    status = "optimal"
+    nodes = 0
+    stack = [(0, 0, (1 << len(graph.masks)) - 1, column, frame, -1)]
+    while stack:
+        nodes += 1
+        if deadline is not None and time.monotonic() > deadline:
+            status = "timeout-lower-bound"
+            break
+        chosen, out, alive, cols, frame, taken = stack.pop()
+        edge_masks, vertex_tuples, column = frame
+        if taken >= 0:
+            units = 0
+            for pos in _bits(alive & column[taken]):
+                r = edge_masks[pos] & ~chosen
+                if r & (r - 1) == 0:
+                    units |= r
+            if units:
+                out |= units
+                for i in _bits(units):
+                    alive ^= alive & cols[i]
+        room = n - out.bit_count() - best_size
+        rest = alive
+        while rest and room > 0:
+            for i in vertex_tuples[(rest & -rest).bit_length() - 1]:
+                rest ^= rest & cols[i]
+            room -= 1
+        if room <= 0:
+            continue
+        if not alive:
+            best_size = n - out.bit_count()
+            best_mask = all_mask & ~out
+            continue
+        count = alive.bit_count()
+        if count * 8 < len(edge_masks):
+            positions = _bits(alive)
+            frame = _reference_frame(
+                n, [edge_masks[p] for p in positions], [vertex_tuples[p] for p in positions]
+            )
+            cols = [0 if chosen >> i & 1 else c for i, c in enumerate(frame[2])]
+            alive = (1 << count) - 1
+        degrees = [(c & alive).bit_count() for c in cols]
+        branch = degrees.index(max(degrees))
+        stack.append((chosen, out | 1 << branch, alive ^ (alive & cols[branch]), cols, frame, -1))
+        cols = cols.copy()
+        cols[branch] = 0
+        stack.append((chosen | 1 << branch, out, alive, cols, frame, branch))
+    return solver.SolveResult(best_size, solver._mask_to_set(best_mask, graph.vertices), nodes, status)
+
+
+def _bb_and_reference(monkeypatch, graph, ticks):
+    # a clock that ticks once per read stops both after the same node, and stops
+    # a wrong bb that loops on a vertex it has already decided
+    rows = []
+    for solve in (solver._solve_bb, reference_bb):
+        monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
+        r = solve(graph, ticks)
+        rows.append((r.size, r.witness.elements, r.nodes, r.status))
+    return rows
+
+
+def test_bb_matches_its_reference_on_seeded_sets(monkeypatch):
+    # bb derives each node's degrees from its parent's and clears greedy picks by
+    # neighbourhood masks; the search tree, incumbents and witnesses are the
+    # reference's, node for node.  The largest of these trees has 10,545 nodes
+    rng = random.Random("bb-differential")
+    for i in range(48):
+        size = 8 + (13 * i) % 53
+        k, strong = 2 + i % 3, i % 2 == 1
+        s = IntSet.of(rng.sample(range(1, 3 * size + 20 * k), size))
+        new, old = _bb_and_reference(monkeypatch, build_hypergraph(s, k, strong=strong), 10**5)
+        assert new == old
+        assert new[3] == "optimal"
+
+
+@functools.lru_cache(maxsize=None)
+def _f4_graph(k):
+    return build_hypergraph(generate(FolnerGrid.diagonal(4)), k)
+
+
+@pytest.mark.parametrize("k, ticks", [(2, 1000), (2, 3000), (3, 300), (3, 2000)])
+def test_bb_matches_its_reference_on_f4_at_tick_budgets(monkeypatch, k, ticks):
+    # these stops take both degree routes (a decrement per dead edge, a recount
+    # when many die at once), and at k = 3 renumber the edges many times
+    new, old = _bb_and_reference(monkeypatch, _f4_graph(k), ticks)
+    assert new == old
+    assert new[2:] == (ticks + 2, "timeout-lower-bound")
