@@ -28,17 +28,19 @@ degrees, before)`` holds the vertices taken and forced out, ``alive``
 each taken vertex's set to 0, the vertex its parent just took, and its
 parent's degree list and ``alive``; no node copies an edge list.  A node
 that passes the bound takes one off the degrees of the vertices of each
-edge that died since its parent, or recounts them by popcount when many
-died at once; so most nodes find the branching vertex, the one in the
-most alive edges, without a popcount of every column.  Every edge has at least 2 vertices (k >= 2
-positive summands fall short of their total), and unit propagation keeps
-every alive edge at 2 or more vertices not taken, so only the include
-child can gain units, on the edges through the vertex it took; one pass
-suffices, because forcing a vertex out never creates a unit.  The greedy
-bound clears a pick with no taken vertex by its neighbourhood mask, the
-OR of its vertices' columns, built on the pick's first use.  Once the alive edges fill under 1/8 of the frame they are
-renumbered into a new one, in the same order, so that each bitmask costs
-their count rather than the count of all edges.
+edge that died since its parent, or recounts them by popcount when that
+is the cheaper of the two by measured cost, as it is when many edges died
+at once (most of G's branching nodes at k = 3 recount, most of F_4's do
+not).  Every edge has at least 2 vertices (k >= 2 positive summands fall
+short of their total), and unit propagation keeps every alive edge at 2
+or more vertices not taken, so only the include child can gain units, on
+the edges through the vertex it took; one pass suffices, because forcing
+a vertex out never creates a unit.  The greedy bound clears a pick with
+no taken vertex by its neighbourhood mask, the OR of its vertices'
+columns, built on the pick's first use.  Once the alive edges fill under
+1/8 of the frame they are renumbered into a new one, in the same order,
+so that each bitmask costs their count rather than the count of all
+edges.
 ``bb`` honors a wall-clock budget of positive finite seconds, started before
 the hypergraph build and read at every node: on expiry the best set found so
 far, the seed at least, is returned as a certified lower bound, not an optimum.
@@ -190,10 +192,6 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
     best_size = best_mask.bit_count()
     status = "optimal"
     nodes = 0
-    # a node decrements the degrees of the vertices of each edge dead since its
-    # parent, one step per vertex; once those steps would outnumber its n
-    # vertices, it recounts every degree by popcount instead
-    widest = max(map(len, graph.positions), default=0)
     # a node: the vertices taken and forced out on its path; `alive`, the frame
     # positions of the edges not meeting `out`; `cols`, the frame's columns with
     # each taken vertex's set to 0; `taken`, the vertex its parent took, or -1;
@@ -254,9 +252,13 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
         # less one per edge that died since (through the excluded branch or a unit).
         # A taken vertex's degree is 0 when taken and may go negative after, but
         # every alive edge keeps 2 vertices not taken, so the maximum is positive
-        # and is a true count
+        # and is a true count.  Over a frame of w 64-bit words, a decrement costs
+        # about 600 + 3.5w ns per dead edge and a popcount recount 105 + 4.5w ns
+        # per vertex (least squares over 183,257 nodes, CPython 3.11); the node
+        # takes the cheaper, the rule reading twice those costs
         dead = before ^ alive
-        if dead.bit_count() * widest > n:
+        words = len(edge_masks) >> 6
+        if dead.bit_count() * (1200 + 7 * words) > n * (210 + 9 * words):
             degrees = None
         else:
             degrees = degrees.copy()
