@@ -14,33 +14,34 @@ lexicographically smallest optimal witness, and a branch-and-bound
 (``bb``) that branches on the vertex lying in the most alive edges and
 prunes with a greedy disjoint-edge bound.  Its edges live in a frame:
 the edge masks in one order, each edge's vertex tuple, each vertex's
-column (the positions of the edges holding it, as a bitmask), and each
-edge's neighbourhood mask once the bound has built it.  The seed,
-``bb``'s first incumbent, is the larger of an ascending and a descending
-greedy pass, ties to ascending; each pass takes every vertex that
-completes no edge.  Each edge is filed under its highest and its lowest
-vertex: ``brute`` and the ascending pass test a vertex against the edges
-it tops (the set grown so far has no higher vertex, so no other edge
-through it can be complete), the descending pass against the edges it
-starts.  A ``bb`` node ``(chosen, out, alive, cols, frame, taken,
-degrees, before)`` holds the vertices taken and forced out, ``alive``
-(the frame positions of the edges not meeting ``out``), the columns with
-each taken vertex's set to 0, the vertex its parent just took, and its
-parent's degree list and ``alive``; no node copies an edge list.  A node
-that passes the bound takes one off the degrees of the vertices of each
-edge that died since its parent, or recounts them by popcount when that
-is the cheaper of the two by measured cost, as it is when many edges died
-at once (most of G's branching nodes at k = 3 recount, most of F_4's do
-not).  Every edge has at least 2 vertices (k >= 2 positive summands fall
-short of their total), and unit propagation keeps every alive edge at 2
-or more vertices not taken, so only the include child can gain units, on
-the edges through the vertex it took; one pass suffices, because forcing
-a vertex out never creates a unit.  The greedy bound clears a pick with
-no taken vertex by its neighbourhood mask, the OR of its vertices'
-columns, built on the pick's first use.  Once the alive edges fill under
-1/8 of the frame they are renumbered into a new one, in the same order,
-so that each bitmask costs their count rather than the count of all
-edges.
+column (the positions of the edges holding it, as a bitmask), and the
+masks the bound builds.  The seed, ``bb``'s first incumbent, is the
+larger of an ascending and a descending greedy pass, ties to ascending;
+each pass takes every vertex that completes no edge.  Each edge is filed
+under its highest and its lowest vertex: ``brute`` and the ascending pass
+test a vertex against the edges it tops (the set grown so far has no
+higher vertex, so no other edge through it can be complete), the
+descending pass against the edges it starts, each in one ``all(map(...))``
+call.  A ``bb`` node ``(chosen, out, alive, frame, taken, degrees,
+before)`` holds the vertices taken and forced out, ``alive`` (the frame
+positions of the edges not meeting ``out``), the vertex its parent just
+took, and its parent's degree list and ``alive``; it reads the frame's
+columns through the mask of vertices not taken and copies no list.  A
+node that passes the bound takes one off the degrees of the vertices of
+each edge that died since its parent, or recounts them by popcount when
+that is the cheaper of the two by measured cost, as it is when many edges
+died at once (most of G's branching nodes at k = 3 recount, most of
+F_4's do not).  Every edge has at least 2 vertices (k >= 2 positive
+summands fall short of their total), and unit propagation keeps every
+alive edge at 2 or more vertices not taken, so only the include child
+can gain units, on the edges through the vertex it took; one pass
+suffices, because forcing a vertex out never creates a unit.  The greedy
+bound clears each pick by one mask, the OR of the columns of its
+vertices not taken, built on first use and kept by the frame: by edge
+for a pick with no taken vertex, else by its vertices not taken.  Once
+the alive edges fill under 1/8 of the frame they are renumbered into a
+new one, in the same order, so that each bitmask costs their count
+rather than the count of all edges.
 ``bb`` honors a wall-clock budget of positive finite seconds, started before
 the hypergraph build and read at every node: on expiry the best set found so
 far, the seed at least, is returned as a certified lower bound, not an optimum.
@@ -142,14 +143,12 @@ def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
         nodes += 1
         if size + (n - idx) <= best_size:
             return
-        if idx == n:
-            if size > best_size:
-                best_size = size
-                best_mask = cur
+        if idx == n:  # the test above leaves size > best_size
+            best_size = size
+            best_mask = cur
             return
-        bit = 1 << idx
-        grown = cur | bit
-        if all(m & ~grown for m in edges_topped[idx]):
+        grown = cur | 1 << idx
+        if all(map((~grown).__and__, edges_topped[idx])):
             walk(idx + 1, grown, size + 1)
         walk(idx + 1, cur, size)
 
@@ -158,22 +157,22 @@ def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
 
 
 def _frame(n: int, masks: Sequence[int], vertex_tuples: Sequence[tuple[int, ...]]) -> tuple:
-    """Edge masks, their vertex tuples, each vertex's column (the positions of
-    the edges that hold it, as a bitmask over this numbering of the edges), and
-    each edge's neighbourhood, the OR of its vertices' columns, built on first
-    use: 0 until then, since a built one holds the edge's own position."""
+    """Edge masks, vertex tuples, each vertex's column (the positions in this
+    frame of the edges holding it, as a bitmask), each edge's neighbourhood (the
+    OR of its vertices' columns, 0 until built on first use), such ORs keyed by
+    the vertices not taken of picks holding a taken one, and the cost rule's terms."""
     column = [0] * n
     for pos, edge in enumerate(vertex_tuples):
         for i in edge:
             column[i] |= 1 << pos
-    return masks, vertex_tuples, column, [0] * len(masks)
+    w = len(masks) >> 6  # the frame's width in 64-bit words
+    return masks, vertex_tuples, column, [0] * len(masks), {}, 1200 + 7 * w, n * (210 + 9 * w)
 
 
 def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveResult:
     n = len(graph.vertices)
     all_mask = (1 << n) - 1
     frame = _frame(n, graph.masks, graph.positions)
-    column = frame[2]
     # greedy passes, ascending then descending, each taking every vertex that
     # completes no edge; small vertices make the most sums, so the descending
     # pass is often the larger. max keeps the first of equals: ties go ascending.
@@ -185,26 +184,26 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
         seed = 0
         for i in order:
             grown = seed | 1 << i
-            if all(m & ~grown for m in filed[i]):
+            if all(map((~grown).__and__, filed[i])):
                 seed = grown
         seeds.append(seed)
     best_mask = max(seeds, key=int.bit_count)
     best_size = best_mask.bit_count()
     status = "optimal"
     nodes = 0
-    # a node: the vertices taken and forced out on its path; `alive`, the frame
-    # positions of the edges not meeting `out`; `cols`, the frame's columns with
-    # each taken vertex's set to 0; `taken`, the vertex its parent took, or -1;
-    # and its parent's degree list and `alive`, from which it derives its own
+    # a node: the vertices taken and forced out on its path; `alive`, the frame positions
+    # of the edges not meeting `out`; `taken`, the vertex its parent took, or -1; and its
+    # parent's degree list and `alive`, from which it derives its own
     alive = (1 << len(graph.masks)) - 1
-    stack = [(0, 0, alive, column, frame, -1, [c.bit_count() for c in column], alive)]
+    stack = [(0, 0, alive, frame, -1, [c.bit_count() for c in frame[2]], alive)]
     while stack:
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             status = "timeout-lower-bound"
             break
-        chosen, out, alive, cols, frame, taken, degrees, before = stack.pop()
-        edge_masks, vertex_tuples, column, near = frame
+        chosen, out, alive, frame, taken, degrees, before = stack.pop()
+        edge_masks, vertex_tuples, column, near, near_free, dead_cost, recount_cost = frame
+        free = all_mask ^ chosen
         # unit propagation: an alive edge with one vertex not taken forces it out.
         # Only the edges through the vertex just taken can have come down to one.
         if taken >= 0:
@@ -212,7 +211,7 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
             through = alive & column[taken]
             while through:
                 low = through & -through
-                r = edge_masks[low.bit_length() - 1] & ~chosen
+                r = edge_masks[low.bit_length() - 1] & free
                 if r & (r - 1) == 0:
                     units |= r
                 through ^= low
@@ -221,26 +220,30 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
                 # x ^= x & c clears c's bits from x; on wide ints it beats x &= ~c,
                 # which builds a negative int and its complement first
                 for i in _bits(units):
-                    alive ^= alive & cols[i]
+                    alive ^= alive & column[i]
         # the greedy bound: walk the alive edges in order, picking each that shares
         # no vertex not taken with an earlier pick (a pick clears its own position,
         # as it keeps a vertex not taken); prune once the picks leave the vertices
-        # not out no room above the incumbent. A pick with no taken vertex clears
-        # its whole neighbourhood at once
+        # not out no room above the incumbent. A pick clears the OR of the columns of its
+        # vertices not taken: its neighbourhood, or if it holds a taken vertex, one keyed by them
         room = n - out.bit_count() - best_size
         rest = alive
         while rest and room > 0:
             pos = (rest & -rest).bit_length() - 1
             if edge_masks[pos] & chosen:
-                for i in vertex_tuples[pos]:
-                    rest ^= rest & cols[i]
+                key = edge_masks[pos] & free
+                mask = near_free.get(key, 0)
+                if not mask:
+                    for i in _bits(key):
+                        mask |= column[i]
+                    near_free[key] = mask
             else:
                 mask = near[pos]
                 if not mask:
                     for i in vertex_tuples[pos]:
                         mask |= column[i]
                     near[pos] = mask
-                rest ^= rest & mask
+            rest ^= rest & mask
             room -= 1
         if room <= 0:
             continue
@@ -248,18 +251,19 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
             best_size = n - out.bit_count()
             best_mask = all_mask & ~out
             continue
-        # the degree of a vertex is its count of alive edges: the parent's count,
-        # less one per edge that died since (through the excluded branch or a unit).
-        # A taken vertex's degree is 0 when taken and may go negative after, but
-        # every alive edge keeps 2 vertices not taken, so the maximum is positive
-        # and is a true count.  Over a frame of w 64-bit words, a decrement costs
-        # about 600 + 3.5w ns per dead edge and a popcount recount 105 + 4.5w ns
-        # per vertex (least squares over 183,257 nodes, CPython 3.11); the node
-        # takes the cheaper, the rule reading twice those costs
+        # the degree of a vertex not taken is its count of alive edges: the
+        # parent's count, less one per edge that died since (through the excluded
+        # branch or a unit). A taken vertex's is 0 when taken or recounted and may
+        # go negative after, but every alive edge keeps 2 vertices not taken, so
+        # the maximum is positive and is a true count.  Over a frame of w words,
+        # a decrement costs about 600 + 3.5w ns per dead edge and a popcount
+        # recount 105 + 4.5w ns per vertex (least squares over 183,257 nodes,
+        # CPython 3.11); the node takes the cheaper, the rule reading twice those costs
         dead = before ^ alive
-        words = len(edge_masks) >> 6
-        if dead.bit_count() * (1200 + 7 * words) > n * (210 + 9 * words):
-            degrees = None
+        if dead.bit_count() * dead_cost > recount_cost:
+            degrees = [(c & alive).bit_count() for c in column]
+            for i in _bits(chosen):
+                degrees[i] = 0
         else:
             degrees = degrees.copy()
             if taken >= 0:
@@ -277,18 +281,14 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
             frame = _frame(
                 n, [edge_masks[p] for p in positions], [vertex_tuples[p] for p in positions]
             )
-            cols = [0 if chosen >> i & 1 else c for i, c in enumerate(frame[2])]
+            column = frame[2]
             alive = (1 << count) - 1
-        if degrees is None:
-            degrees = [(c & alive).bit_count() for c in cols]
         # ties go to the lowest vertex
         branch = degrees.index(max(degrees))
         stack.append(
-            (chosen, out | 1 << branch, alive ^ (alive & cols[branch]), cols, frame, -1, degrees, alive)
+            (chosen, out | 1 << branch, alive ^ (alive & column[branch]), frame, -1, degrees, alive)
         )
-        cols = cols.copy()
-        cols[branch] = 0
-        stack.append((chosen | 1 << branch, out, alive, cols, frame, branch, degrees, alive))
+        stack.append((chosen | 1 << branch, out, alive, frame, branch, degrees, alive))
     return SolveResult(best_size, _mask_to_set(best_mask, graph.vertices), nodes, status)
 
 

@@ -9,6 +9,7 @@ the translate inequality).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -196,6 +197,64 @@ def test_kernel_is_always_residue_sum_free(q, raw, k):
     assert d.residues <= r.residues
     assert difference_kernel(d, k) == d
     assert (d == r) is k_fold_residue_sums_miss(residues, q, k)
+
+
+def bajnok_width(d: int, k: int) -> int:
+    """The longest k-sum-free arc of Z/d: floor((d - 1 - gcd(d, k - 1)) / (k + 1)) + 1."""
+    return (d - 1 - math.gcd(d, k - 1)) // (k + 1) + 1
+
+
+def bajnok_divisor(q: int, k: int) -> int:
+    """A divisor d of q at which Bajnok's v(q), the maximum over d | q of
+    width(d) * q / d, is reached."""
+    divisors = [d for d in range(1, q + 1) if q % d == 0]
+    return max(divisors, key=lambda d: bajnok_width(d, k) * q // d)
+
+
+def bajnok_maximum(q: int, k: int) -> int:
+    """Bajnok's v(q): the largest size of a k-sum-free subset of Z/q."""
+    d = bajnok_divisor(q, k)
+    return bajnok_width(d, k) * q // d
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_largest_residue_set_the_kernel_accepts_has_bajnoks_size(k):
+    # every subset of Z/q, skipping those no larger than the largest accepted so far
+    for q in range(1, 13):
+        best = 0
+        for mask in range(1, 1 << q):
+            if mask.bit_count() > best:
+                r = ResidueSet(q, frozenset(x for x in range(q) if mask >> x & 1))
+                if difference_kernel(r, k) == r:
+                    best = mask.bit_count()
+        assert best == bajnok_maximum(q, k), (q, k)
+
+
+def test_residue_sets_the_kernel_accepts_stay_within_bajnoks_size():
+    # a kernel is always accepted by the kernel, so it is k-sum-free in Z/q and
+    # holds at most v(q) residues. Half the sets are random; half lift an arc of
+    # Z/d, d the divisor where v(q) peaks, as wide as Bajnok's or one wider, from
+    # the start with the largest kernel, and add up to two stray residues
+    rng = random.Random("bajnok")
+    at_maximum = 0
+    for case in range(300):
+        q, k = rng.randrange(1, 61), rng.choice([2, 3, 4])
+        if case % 2:
+            share = rng.random()
+            residues = {x for x in range(q) if rng.random() < share}
+        else:
+            d = bajnok_divisor(q, k)
+            width = bajnok_width(d, k) + rng.randrange(2)
+            arcs = [{x for x in range(q) if (x - a) % d < width} for a in range(d)]
+            residues = max(
+                arcs, key=lambda arc: len(difference_kernel(ResidueSet.of(q, arc), k).residues)
+            )
+            residues |= set(rng.sample(range(q), min(q, rng.randrange(3))))
+        kernel = difference_kernel(ResidueSet.of(q, residues), k)
+        assert difference_kernel(kernel, k) == kernel
+        assert len(kernel.residues) <= bajnok_maximum(q, k)
+        at_maximum += len(kernel.residues) == bajnok_maximum(q, k) > 0
+    assert at_maximum >= 30
 
 
 def test_kernel_translate_counting_bound():

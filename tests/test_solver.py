@@ -513,3 +513,17 @@ def test_bb_matches_its_reference_on_seeded_sets(monkeypatch):
         assert new == old
         assert new[3] == "optimal"
 
+
+@pytest.mark.parametrize("ticks, size", [(5013, 23), (5014, 24)])
+def test_bb_matches_its_reference_on_g_at_k3(monkeypatch, ticks, size):
+    # G at k = 3: 1,218 edges of up to 4 vertices over 64.  bb first improves on
+    # its seed at the leaf of node 5,015; before it, 6,144 of 48,935 greedy picks
+    # hold a taken vertex and clear the mask filed under their vertices not taken,
+    # 1,359 nodes recount their degrees, and the edges are renumbered 146 times.
+    # The budgets stop just before and just after that leaf, so a tree that
+    # reaches it at any other node differs from the reference at one of them
+    graph = build_hypergraph(generate(FolnerGrid(3, 4)), 3)
+    assert len(graph.masks) == 1218
+    new, old = _bb_and_reference(monkeypatch, graph, ticks)
+    assert new == old
+    assert (new[0], new[2], new[3]) == (size, ticks + 2, "timeout-lower-bound")
