@@ -159,14 +159,13 @@ def _solve_brute(graph: ForbiddenHypergraph) -> SolveResult:
 def _frame(n: int, masks: Sequence[int], vertex_tuples: Sequence[tuple[int, ...]]) -> tuple:
     """Edge masks, vertex tuples, each vertex's column (the positions in this
     frame of the edges holding it, as a bitmask), each edge's neighbourhood (the
-    OR of its vertices' columns, 0 until built on first use), such ORs keyed by
-    the vertices not taken of picks holding a taken one, and the cost rule's terms."""
+    OR of its vertices' columns, 0 until built on first use), and such ORs keyed
+    by the vertices not taken of picks holding a taken one."""
     column = [0] * n
     for pos, edge in enumerate(vertex_tuples):
         for i in edge:
             column[i] |= 1 << pos
-    w = len(masks) >> 6  # the frame's width in 64-bit words
-    return masks, vertex_tuples, column, [0] * len(masks), {}, 1200 + 7 * w, n * (210 + 9 * w)
+    return masks, vertex_tuples, column, [0] * len(masks), {}
 
 
 def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveResult:
@@ -202,7 +201,7 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
             status = "timeout-lower-bound"
             break
         chosen, out, alive, frame, taken, degrees, before = stack.pop()
-        edge_masks, vertex_tuples, column, near, near_free, dead_cost, recount_cost = frame
+        edge_masks, vertex_tuples, column, near, near_free = frame
         free = all_mask ^ chosen
         # unit propagation: an alive edge with one vertex not taken forces it out.
         # Only the edges through the vertex just taken can have come down to one.
@@ -260,7 +259,8 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
         # recount 105 + 4.5w ns per vertex (least squares over 183,257 nodes,
         # CPython 3.11); the node takes the cheaper, the rule reading twice those costs
         dead = before ^ alive
-        if dead.bit_count() * dead_cost > recount_cost:
+        words = len(edge_masks) >> 6
+        if dead.bit_count() * (1200 + 7 * words) > n * (210 + 9 * words):
             degrees = [(c & alive).bit_count() for c in column]
             for i in _bits(chosen):
                 degrees[i] = 0
