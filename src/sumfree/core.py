@@ -41,6 +41,8 @@ DIFFERENCE_WORK_CAP = 10**7
 # Bits one shift-OR covers in the time of one enumeration step (about 0.2 us
 # per step and 14k bits per us, measured with CPython 3.11 on x86-64).
 _ENUMERATION_STEP_BITS = 2048
+# A refused amount up to this many bits (77 decimal digits) is printed in full.
+_DECIMAL_AMOUNT_BITS = 256
 
 
 def _require_int(value: int, what: str, low: int = 1) -> None:
@@ -56,9 +58,13 @@ def _require_rational(value: Fraction, what: str, above: Optional[int] = None) -
 
 
 def _require_within(required: int, cap: int, what: str) -> None:
-    # `what` names the amount with a {} placeholder, formatted only on refusal
+    # `what` names the amount with a {} placeholder, formatted only on refusal. An
+    # amount past _DECIMAL_AMOUNT_BITS is named by its leading power of two, as
+    # CPython refuses str() of an int past 4,300 digits; `required` stays exact
     if required > cap:
-        raise ResourceLimitError(f"{what.format(required)}, over the cap of {cap}", required)
+        bits = required.bit_length()
+        amount = required if bits <= _DECIMAL_AMOUNT_BITS else f"at least 2^{bits - 1}"
+        raise ResourceLimitError(f"{what.format(amount)}, over the cap of {cap}", required)
 
 
 def _require_arity(k: int) -> None:

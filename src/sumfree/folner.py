@@ -10,9 +10,12 @@ as an averaging substrate for dilation extraction.
 
 The defect has a closed form read off a's factorization.  ``defect`` keeps
 an independent route for it (direct set arithmetic while the grid is small
-enough to enumerate) so the two can be cross-checked.  That route keeps the
-element set of the last grid it enumerated until another grid is asked for,
-so a sweep over many factors of one grid builds the set once.
+enough to enumerate) so the two can be cross-checked.  That route counts
+|aF ∩ F| over the multiples of a in F, as the members y with a | y and y/a
+also a member; it reads no factorization, so it stays independent of the
+closed form.  It keeps the element set of the last grid it enumerated until
+another grid is asked for, so a sweep over many factors of one grid builds
+the set once.
 """
 
 from __future__ import annotations
@@ -136,8 +139,13 @@ def defect_closed_form(grid: FolnerGrid, a: int) -> Fraction:
 
 
 def _injective_defect(members: frozenset, a: int) -> Fraction:
-    """|aF △ F| / |F| = 2*(|F| - |aF ∩ F|) / |F|, as x -> a*x is injective."""
-    shared = sum(1 for x in members if a * x in members)
+    """|aF △ F| / |F| = 2*(|F| - |aF ∩ F|) / |F|, as x -> a*x is injective.
+
+    x -> a*x maps {x in F : a*x in F} onto {y in F : a | y, y/a in F} for any
+    finite F, so the count runs over F's multiples of a: most members fail the
+    cheap ``y % a`` and never pay for a big product, its hash or a lookup.
+    """
+    shared = sum(1 for y in members if not y % a and y // a in members)
     return Fraction(2 * (len(members) - shared), len(members))
 
 
@@ -150,12 +158,12 @@ def defect(grid: FolnerGrid, a: int) -> Fraction:
     """Exact dilation defect |aF △ F| / |F|.
 
     Grids small enough to enumerate are measured directly by
-    ``_injective_defect``, which counts |aF ∩ F| by membership in the set of
-    grid elements.  That keeps this route independent of
-    ``defect_closed_form``, which grids past DEFAULT_DEFECT_ENUMERATION_CAP
-    elements or DEFECT_ENUMERATION_BIT_CAP bits (size times the largest
-    element's bit length) return.  The element set of the last grid
-    enumerated is kept until another grid is asked for.
+    ``_injective_defect``, which counts |aF ∩ F| as the grid elements y with
+    a | y and y/a also an element.  It reads no factorization of a, which
+    keeps this route independent of ``defect_closed_form``, which grids past
+    DEFAULT_DEFECT_ENUMERATION_CAP elements or DEFECT_ENUMERATION_BIT_CAP
+    bits (size times the largest element's bit length) return.  The element
+    set of the last grid enumerated is kept until another grid is asked for.
     """
     _require_int(a, "dilation factor")
     size = grid.size()

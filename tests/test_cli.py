@@ -16,6 +16,7 @@ from sumfree import (
     FolnerGrid,
     IntSet,
     InvalidParameterError,
+    ResourceLimitError,
     extract_dilate_folner,
     format_set_text,
     generate,
@@ -167,6 +168,18 @@ def test_folner_gen_to_file(tmp_path, capsys):
 def test_folner_gen_cap_exit_code(capsys):
     assert main(["folner", "gen", "--grid", "9"]) == 3
     assert "resource limit" in capsys.readouterr().err
+
+
+def test_folner_gen_refuses_a_grid_too_large_to_print(capsys):
+    # 2000^2000 has 6,602 digits, past CPython's int-to-string limit, so the
+    # message names it by its leading power of two; the error keeps it exact
+    assert main(["folner", "gen", "--grid", "2000"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("resource limit: grid has at least 2^21931 elements")
+    assert err.count("\n") == 1
+    with pytest.raises(ResourceLimitError) as caught:
+        generate(FolnerGrid.diagonal(2000))
+    assert caught.value.required == 2000**2000
 
 
 def test_folner_defect(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from fractions import Fraction
 
@@ -221,3 +222,19 @@ def test_set_dilation_defect_plain_sets():
     assert set_dilation_defect(s, 1) == 0
     with pytest.raises(InvalidParameterError):
         set_dilation_defect(IntSet.of([]), 2)
+
+
+def test_set_dilation_defect_reads_the_quotient_on_sets_not_closed_under_division():
+    # 2*F = {2, 6, 8, 12}: of F's multiples of 2, only 6 has its half in F,
+    # so the symmetric difference {1, 2, 3, 4, 8, 12} has 6 elements
+    assert set_dilation_defect(IntSet.of([1, 3, 4, 6]), 2) == Fraction(3, 2)
+
+
+def test_set_dilation_defect_matches_literal_set_arithmetic_on_random_sets():
+    # every grid is closed under division by its factors; these sets are not
+    rng = random.Random("set-dilation-defect")
+    for _ in range(200):
+        f = set(rng.sample(range(1, rng.choice([30, 200, 2000])), rng.randint(1, 25)))
+        s = IntSet.of(f)
+        for a in [*range(1, 61), max(f) + rng.randint(1, 50)]:
+            assert set_dilation_defect(s, a) == Fraction(len({a * x for x in f} ^ f), len(f))

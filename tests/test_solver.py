@@ -276,23 +276,33 @@ def test_timeout_on_f4_returns_a_certified_lower_bound():
 
 
 @pytest.mark.parametrize(
-    "k, strong, ticks, nodes, digest",
+    "k, strong, ticks, nodes, frames, digest",
     [
-        (2, False, 19967, 19968, "5332dac85d9e7be4812a7c0e2335b304c60e1bbbaed2d5bef35d5c5c78f53ffe"),
-        (3, False, 4095, 4096, "93e3893051e79b134d3a315f34b87dc52621e79cb126fb5b03222305412c2eba"),
-        (3, True, 4095, 4096, "b1f173a74e7b04df1322666f4ae64505492866078ded36be5197797a88f84a37"),
+        (2, False, 19967, 19968, 1, "5332dac85d9e7be4812a7c0e2335b304c60e1bbbaed2d5bef35d5c5c78f53ffe"),
+        (3, False, 4095, 4096, 134, "93e3893051e79b134d3a315f34b87dc52621e79cb126fb5b03222305412c2eba"),
+        (3, True, 4095, 4096, 6, "b1f173a74e7b04df1322666f4ae64505492866078ded36be5197797a88f84a37"),
     ],
 )
-def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, digest):
+def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, frames, digest):
     # a clock that ticks once per read: max_k_sum_free reads it once, before
     # the hypergraph build, and bb then at every node, so a budget of B ticks
-    # stops it after exactly B + 1 nodes, whatever the machine.  These runs
-    # reach deep enough that bb renumbers its edges many times; the
-    # incumbent, its witness and the count pin the search order through them.
+    # stops it after exactly B + 1 nodes, whatever the machine.  At every stop
+    # the incumbent is still the greedy seed, so the digest reads only the seed
+    # and the stop.  What pins the tree is the count of frames built: the root's
+    # and one per renumbering.  At k = 3 that count (134) moves with the order of
+    # the nodes; at k = 2 (one frame) and strong k = 3 (6 frames) it reads little.
+    built = []
+    frame = solver._frame
+
+    def counted_frame(*args):
+        built.append(None)
+        return frame(*args)
+
     f4 = generate(FolnerGrid.diagonal(4))
     monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
+    monkeypatch.setattr(solver, "_frame", counted_frame)
     r = max_k_sum_free(f4, k, strong=strong, budget=ticks)
-    assert (r.nodes, r.status) == (nodes, "timeout-lower-bound")
+    assert (r.nodes, r.status, len(built)) == (nodes, "timeout-lower-bound", frames)
     row = (r.size, r.witness.elements, r.nodes, r.status)
     assert hashlib.sha256(repr(row).encode()).hexdigest() == digest
 
