@@ -22,7 +22,10 @@ a float or a value below the minimum raises InvalidParameterError.
 or a Fraction above an optional bound, so no float enters a decision.
 ``_require_within`` is the one resource guard: every cap that stops a call
 is checked through it, and only it raises ResourceLimitError.
-``_bits`` is the one bit-decoding kernel for the package's bitmasks.
+``_mask`` builds the package's bitmasks from values and ``_shift_or`` forms
+their sumsets; ``_bits`` is the sparse decoder, one step per set bit.  The
+difference set's mask is dense and wide, so ``k_difference_set`` decodes it
+once through its binary string instead, in time linear in its width.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress, count
 from math import comb, factorial
 from typing import Iterable, Iterator, Optional
 
@@ -43,6 +47,8 @@ DIFFERENCE_WORK_CAP = 10**7
 _ENUMERATION_STEP_BITS = 2048
 # A refused amount up to this many bits (77 decimal digits) is printed in full.
 _DECIMAL_AMOUNT_BITS = 256
+# Maps the digit "0" of a bin() string to a zero byte, so compress() skips it.
+_ZERO_DIGITS = bytes.maketrans(b"0", b"\0")
 
 
 def _require_int(value: int, what: str, low: int = 1) -> None:
@@ -134,19 +140,30 @@ def _bits(mask: int) -> list[int]:
     return positions
 
 
+def _mask(values: Iterable[int]) -> int:
+    """Bitmask with bit v set for each value v >= 0."""
+    mask = 0
+    for v in values:
+        mask |= 1 << v
+    return mask
+
+
+def _shift_or(mask: int, shifts: Iterable[int]) -> int:
+    """OR of mask << t over the shifts: bit p + t for each set bit p and shift t."""
+    acc = 0
+    for t in shifts:
+        acc |= mask << t
+    return acc
+
+
 def _bitset_route(elements: tuple[int, ...], k: int) -> bool:
     top = elements[-1]
-    mask = 0
-    for a in elements:
-        mask |= 1 << a
+    mask = _mask(elements)
     window = (1 << (top + 1)) - 1
     sums = mask
     for _ in range(k - 1):
-        acc = 0
-        for a in elements:
-            acc |= sums << a
         # sums past the largest element can never land back in the set
-        sums = acc & window
+        sums = _shift_or(sums, elements) & window
         if not sums:
             return True
     return (sums & mask) == 0
@@ -262,15 +279,28 @@ def k_difference_set(s: IntSet, k: int, n: int) -> frozenset:
     May contain zero and negative integers; returned as a plain frozenset.
     The differences formed, at most |A_n|·((k-1)·max A_n + 1), are capped
     by DIFFERENCE_WORK_CAP before any sum is built.
+
+    Built by shift-OR on one bitmask: with t = max A_n, the reflected members
+    t - v have the (k-1)-fold sums (k-1)t - (v_1+...+v_{k-1}) >= 0, and shifting
+    those by each member u sets bit u - v_1 - ... - v_{k-1} + (k-1)t.  The mask
+    is about k·t bits wide and is decoded once, through its binary string, in
+    time linear in that width, so a sparse set with a large member costs more
+    than its few differences suggest: {1, 4999999} at k = 2, at the cap, takes
+    about 0.25 s and 25 MB (CPython 3.11, x86-64).
     """
     _require_arity(k)
     restricted = s.upto(n).elements
     if not restricted:
         return frozenset()
-    work = len(restricted) * ((k - 1) * restricted[-1] + 1)
+    top = restricted[-1]
+    work = len(restricted) * ((k - 1) * top + 1)
     _require_within(work, DIFFERENCE_WORK_CAP, "difference set needs up to {} differences")
-    sums = _sums_of(restricted, k - 1)
-    return frozenset(u - t for u in restricted for t in sums)
+    reflected = [top - a for a in restricted]
+    sums = _mask(reflected)
+    for _ in range(k - 2):
+        sums = _shift_or(sums, reflected)
+    digits = bin(_shift_or(sums, restricted))[:1:-1].encode().translate(_ZERO_DIGITS)
+    return frozenset(compress(count(-(k - 1) * top), digits))
 
 
 def parse_set_text(text: str) -> IntSet:

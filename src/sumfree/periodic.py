@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
-    IntSet, _bits, _require_arity, _require_int, _require_rational, _require_within, _sums_of,
-    is_k_sum_free, k_difference_set, rational_string,
+    IntSet, _bits, _mask, _require_arity, _require_int, _require_rational, _require_within,
+    _sums_of, is_k_sum_free, k_difference_set, rational_string,
 )
 from .errors import FalsificationError, InvalidParameterError
 
@@ -89,9 +89,7 @@ def _progressions(
     are the set bits of M & M>>m & ... & M>>(ap_length-1)m.  Steps are taken
     in the given order, and starts ascending within a step.
     """
-    mask = 0
-    for a in s.upto(n0).elements:
-        mask |= 1 << a
+    mask = _mask(s.upto(n0).elements)
     for m in steps:
         starts = mask
         for j in range(1, ap_length):
@@ -140,6 +138,8 @@ def _scales(start: int, ratio: Fraction, count: int) -> Iterator[int]:
     required = count * start.bit_length() + count * (count + 1) // 2 * step_bits
     _require_within(required, SCHEDULE_BIT_CAP, "schedule needs up to {} bits")
     cur = start  # the generator's walrus rebinds it, so each entry grows from the last
+    if q == 1:  # every eps = 1/d; a ceiling division by 1 gives the same at 4x the cost
+        return (cur := cur * p for _ in range(count))
     return (cur := -(-cur * p // q) for _ in range(count))
 
 
@@ -236,10 +236,17 @@ def _require_progression(s: IntSet, start: int, step: int, length: int) -> None:
             raise InvalidParameterError(f"progression term {start + j * step} is not in the set")
 
 
-def _neighboured(s: IntSet, step: int, length: int) -> list[int]:
-    """Members a of s, ascending, with some a + j*step in s for j in 1..length."""
-    members = s._members
-    return [a for a in s if any(a + j * step in members for j in range(1, length + 1))]
+def _neighboured_count(s: IntSet, n: int, step: int, length: int) -> int:
+    """How many members a <= n of s have some a + j*step in s, j in 1..length.
+
+    The set bits of M & (M>>step | ... | M>>length*step), M the bitmask of s,
+    counted up to min(n, max s): no mask is wider than max(s) bits.
+    """
+    mask = _mask(s.elements)
+    shifted = 0
+    for j in range(1, length + 1):
+        shifted |= mask >> (j * step)
+    return (mask & shifted & ((2 << min(n, s.largest())) - 1)).bit_count()
 
 
 def _first_drop(
@@ -305,13 +312,15 @@ def check_translate_inequality(
     (i+1)|A_n| - (i-1)|B_n| <= n + (k-1)x + (i-1)m exactly.  Under the
     preconditions (k-sum-free set containing the progression
     x, x+m, ..., x+(i-1)m) this provably holds; False is a falsification.
+    |B_n| is a popcount of shifted bitmasks of the whole set, so its cost
+    follows max(s), about i shifts of a max(s)-bit integer, and not n.
     """
     _require_int(n, "count horizon")
     _require_progression(s, x, m, i)
     if not is_k_sum_free(s, k):
         raise InvalidParameterError("set is not k-sum-free on its data")
     a_count = bisect_right(s.elements, n)
-    b_count = bisect_right(_neighboured(s, m, i), n)
+    b_count = _neighboured_count(s, n, m, i)
     return (i + 1) * a_count - (i - 1) * b_count <= n + (k - 1) * x + (i - 1) * m
 
 

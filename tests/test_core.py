@@ -203,6 +203,48 @@ def test_difference_set_matches_definition(values, k, n):
     assert k_difference_set(s, k, n) == expected
 
 
+def _literal_differences(restricted, k):
+    sums = combinations_with_replacement(restricted, k - 1)
+    return {u - sum(c) for c in sums for u in restricted}
+
+
+def _difference_cases():
+    rng = random.Random(2029)
+    cases = [
+        ("one member", (7,), 10), ("n below min A", (5, 9, 14), 4),
+        ("n between members", (3, 8, 20, 41), 25), ("n at a member", (3, 8, 20, 41), 20),
+        ("dense interval", tuple(range(1, 31)), 30), ("upper interval", tuple(range(21, 46)), 45),
+    ]
+    for j in range(12):
+        top = rng.choice([100, 1000, 10**4, 10**5])
+        members = tuple(sorted(rng.sample(range(1, top + 1), rng.randrange(2, 9))))
+        n = rng.choice([top, members[-1], members[1]])
+        cases.append((f"sparse {j} below {top}", members, n))
+    for j in range(6):
+        members = tuple(sorted(rng.sample(range(1, 41), rng.randrange(10, 30))))
+        cases.append((f"dense {j}", members, rng.randrange(1, 45)))
+    return [pytest.param(members, n, id=label) for label, members, n in cases]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("members, n", _difference_cases())
+def test_shift_or_difference_set_matches_the_literal_set(members, n, k):
+    restricted = tuple(a for a in members if a <= n)
+    assert k_difference_set(IntSet(members), k, n) == _literal_differences(restricted, k)
+
+
+def test_difference_cap_is_read_before_any_mask_is_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a mask was built past the cap")
+
+    monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 209)
+    monkeypatch.setattr(core, "_mask", refuse)
+    monkeypatch.setattr(core, "_shift_or", refuse)
+    with pytest.raises(ResourceLimitError) as err:
+        k_difference_set(IntSet.of(range(1, 21)), 3, 10)
+    assert err.value.required == 210
+
+
 def test_intset_normalizes_and_validates():
     assert IntSet.of([3, 1, 2, 2]).elements == (1, 2, 3)
     with pytest.raises(InvalidParameterError):

@@ -426,6 +426,50 @@ def test_geometric_schedule_bit_bound_covers_the_entries(monkeypatch, start, rat
     assert sum(n.bit_length() for n in built) <= caught.value.required < SCHEDULE_BIT_CAP // 100
 
 
+@pytest.mark.parametrize(
+    "ratio",
+    [Fraction(192), Fraction(2), Fraction(4800),
+     Fraction(3, 2), Fraction(7, 3), Fraction(1001, 1000)],
+)
+@pytest.mark.parametrize("start", [1, 89, 1000])
+def test_scales_follow_the_ceiling_recurrence(start, ratio):
+    for count in range(61):
+        expected, cur = [], start
+        for _ in range(count):
+            cur = math.ceil(cur * ratio)
+            expected.append(cur)
+        assert list(periodic._scales(start, ratio, count)) == expected
+
+
+def _per_member_neighboured_count(s, n, m, i):
+    """The per-member rule: members a <= n with some a + j*m in s, j in 1..i."""
+    members = set(s.elements)
+    return sum(1 for a in s.upto(n) if any(a + j * m in members for j in range(1, i + 1)))
+
+
+def test_neighboured_count_matches_the_per_member_rule():
+    rng = random.Random(4242)
+    for trial in range(60):
+        k = 2 + trial % 2
+        horizon = rng.randrange(40, 400)
+        s = grow_k_sum_free(k, horizon, rng=rng, include_probability=rng.uniform(0.2, 1.0))
+        if not s:
+            continue
+        for n in (rng.randrange(1, horizon + 20), s.largest(), s.largest() - 1, 10**18):
+            m, i = rng.randrange(1, 9), rng.randrange(1, 6)
+            expected = _per_member_neighboured_count(s, n, m, i)
+            assert periodic._neighboured_count(s, n, m, i) == expected
+
+
+def test_translate_inequality_at_a_huge_horizon_matches_the_per_member_rule():
+    odds = IntSet.of(range(1, 200, 2))
+    for n, x, m, i, k in [(10**18, 1, 2, 3, 2), (10**18, 51, 4, 5, 2), (10**18, 7, 6, 1, 2)]:
+        b_count = _per_member_neighboured_count(odds, n, m, i)
+        expected = (i + 1) * len(odds) - (i - 1) * b_count <= n + (k - 1) * x + (i - 1) * m
+        assert expected is True
+        assert check_translate_inequality(odds, n, x, m, i, k) is True
+
+
 def test_translate_inequality_examples():
     n = 99
     odds = IntSet.of(range(1, n + 1, 2))
