@@ -239,14 +239,21 @@ def _require_progression(s: IntSet, start: int, step: int, length: int) -> None:
 def _neighboured_count(s: IntSet, n: int, step: int, length: int) -> int:
     """How many members a <= n of s have some a + j*step in s, j in 1..length.
 
-    The set bits of M & (M>>step | ... | M>>length*step), M the bitmask of s,
-    counted up to min(n, max s): no mask is wider than max(s) bits.
+    One ascending pass that keeps the last member seen in each residue class
+    mod step: a member has such a neighbour exactly when the next member of
+    its class is within length*step of it.  Linear in |s|, whatever max(s) or n.
     """
-    mask = _mask(s.elements)
-    shifted = 0
-    for j in range(1, length + 1):
-        shifted |= mask >> (j * step)
-    return (mask & shifted & ((2 << min(n, s.largest())) - 1)).bit_count()
+    reach = length * step
+    last: dict[int, int] = {}
+    count = 0
+    for b in s.elements[: bisect_right(s.elements, n + reach)]:
+        r = b % step
+        if r in last:
+            a = last[r]
+            if b - a <= reach and a <= n:
+                count += 1
+        last[r] = b
+    return count
 
 
 def _first_drop(
@@ -312,8 +319,9 @@ def check_translate_inequality(
     (i+1)|A_n| - (i-1)|B_n| <= n + (k-1)x + (i-1)m exactly.  Under the
     preconditions (k-sum-free set containing the progression
     x, x+m, ..., x+(i-1)m) this provably holds; False is a falsification.
-    |B_n| is a popcount of shifted bitmasks of the whole set, so its cost
-    follows max(s), about i shifts of a max(s)-bit integer, and not n.
+    |B_n| is counted in one pass over the members up to n + i*m, keeping the
+    last member of each residue class mod m, so its cost follows |s| and
+    neither max(s) nor n.
     """
     _require_int(n, "count horizon")
     _require_progression(s, x, m, i)

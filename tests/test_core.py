@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumfree import (
@@ -134,6 +134,30 @@ def test_verifier_refuses_a_difference_set_past_the_default_work_cap(monkeypatch
     assert err.value.required == 2667 * 8001 > core.DIFFERENCE_WORK_CAP
 
 
+def test_verifier_builds_no_difference_mask_past_the_default_work_cap(monkeypatch):
+    # the instance above, with every bitmask refused once the predicate has run
+    instance = periodic.DensityDropInstance(
+        elements=IntSet.of(range(1334, 4001)), n0=4000, ap_start=1334, ap_step=1,
+        ap_length=3, difference=-1334, eps=Fraction(1, 48), ratio=Fraction(48), k=3,
+    )
+    predicate, verdicts = periodic.is_k_sum_free, []
+
+    def refuse(*args):
+        raise AssertionError("a difference mask was built past the cap")
+
+    def sum_free_then_refuse_masks(*args):
+        verdicts.append(predicate(*args))
+        monkeypatch.setattr(core, "_mask", refuse)
+        monkeypatch.setattr(core, "_shift_or", refuse)
+        return verdicts[-1]
+
+    monkeypatch.setattr(periodic, "is_k_sum_free", sum_free_then_refuse_masks)
+    with pytest.raises(ResourceLimitError) as err:
+        periodic.verify_density_drop(instance, 3)
+    assert verdicts == [True]
+    assert err.value.required == 2667 * 8001 > core.DIFFERENCE_WORK_CAP
+
+
 @given(small_sets, arities)
 def test_predicate_matches_naive_enumeration(values, k):
     s = IntSet.of(values)
@@ -193,6 +217,18 @@ def test_strongly_at_two_is_plain():
 
 
 @given(small_sets, arities, st.integers(min_value=1, max_value=40))
+@example({7}, 5, 10)  # one member
+@example({5, 9, 14}, 3, 4)  # n below min A
+@example({3, 8, 20, 41}, 4, 25)  # n between members
+@example({3, 8, 20, 41}, 2, 20)  # n at a member
+@example(set(range(1, 31)), 3, 30)  # dense intervals
+@example(set(range(1, 16)), 5, 15)
+@example(set(range(21, 46)), 4, 45)
+@example({2, 3, 5, 7, 11, 13, 17, 19}, 5, 19)
+@example({1, 4, 99_999}, 5, 10**5)  # sparse and wide, up to 10^5
+@example({17, 2_503, 40_961, 77_777, 99_991}, 4, 10**5)
+@example({12, 345, 6_789, 54_321, 98_765}, 3, 60_000)
+@example({1, 99_998, 99_999, 100_000}, 2, 99_999)
 def test_difference_set_matches_definition(values, k, n):
     s = IntSet.of(values)
     restricted = s.upto(n).elements
@@ -201,36 +237,6 @@ def test_difference_set_matches_definition(values, k, n):
         for vs in combinations_with_replacement(restricted, k - 1):
             expected.add(u - sum(vs))
     assert k_difference_set(s, k, n) == expected
-
-
-def _literal_differences(restricted, k):
-    sums = combinations_with_replacement(restricted, k - 1)
-    return {u - sum(c) for c in sums for u in restricted}
-
-
-def _difference_cases():
-    rng = random.Random(2029)
-    cases = [
-        ("one member", (7,), 10), ("n below min A", (5, 9, 14), 4),
-        ("n between members", (3, 8, 20, 41), 25), ("n at a member", (3, 8, 20, 41), 20),
-        ("dense interval", tuple(range(1, 31)), 30), ("upper interval", tuple(range(21, 46)), 45),
-    ]
-    for j in range(12):
-        top = rng.choice([100, 1000, 10**4, 10**5])
-        members = tuple(sorted(rng.sample(range(1, top + 1), rng.randrange(2, 9))))
-        n = rng.choice([top, members[-1], members[1]])
-        cases.append((f"sparse {j} below {top}", members, n))
-    for j in range(6):
-        members = tuple(sorted(rng.sample(range(1, 41), rng.randrange(10, 30))))
-        cases.append((f"dense {j}", members, rng.randrange(1, 45)))
-    return [pytest.param(members, n, id=label) for label, members, n in cases]
-
-
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
-@pytest.mark.parametrize("members, n", _difference_cases())
-def test_shift_or_difference_set_matches_the_literal_set(members, n, k):
-    restricted = tuple(a for a in members if a <= n)
-    assert k_difference_set(IntSet(members), k, n) == _literal_differences(restricted, k)
 
 
 def test_difference_cap_is_read_before_any_mask_is_built(monkeypatch):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -449,7 +450,7 @@ def _per_member_neighboured_count(s, n, m, i):
 
 def test_neighboured_count_matches_the_per_member_rule():
     rng = random.Random(4242)
-    for trial in range(60):
+    for trial in range(60):  # grown k-sum-free sets, steps up to 8
         k = 2 + trial % 2
         horizon = rng.randrange(40, 400)
         s = grow_k_sum_free(k, horizon, rng=rng, include_probability=rng.uniform(0.2, 1.0))
@@ -457,6 +458,16 @@ def test_neighboured_count_matches_the_per_member_rule():
             continue
         for n in (rng.randrange(1, horizon + 20), s.largest(), s.largest() - 1, 10**18):
             m, i = rng.randrange(1, 9), rng.randrange(1, 6)
+            expected = _per_member_neighboured_count(s, n, m, i)
+            assert periodic._neighboured_count(s, n, m, i) == expected
+    for _ in range(200):  # sparse sets below 10^15: short runs of step m far apart
+        m, i = rng.randrange(1, 10**6), rng.randrange(1, 6)
+        members = set()
+        for _ in range(rng.randrange(1, 6)):
+            start = rng.randrange(1, 10**15)
+            members.update(start + j * m for j in range(0, rng.randrange(1, 8), rng.randrange(1, 4)))
+        s = IntSet.of(members)
+        for n in (s.elements[0] - 1, rng.choice(s.elements), s.largest(), 10**18):
             expected = _per_member_neighboured_count(s, n, m, i)
             assert periodic._neighboured_count(s, n, m, i) == expected
 
@@ -468,6 +479,19 @@ def test_translate_inequality_at_a_huge_horizon_matches_the_per_member_rule():
         expected = (i + 1) * len(odds) - (i - 1) * b_count <= n + (k - 1) * x + (i - 1) * m
         assert expected is True
         assert check_translate_inequality(odds, n, x, m, i, k) is True
+
+
+def test_translate_inequality_cost_does_not_follow_the_largest_member():
+    # a bitmask of {1, 3, 10**8} would hold 12 MB; a pass over three members holds none
+    tracemalloc.start()
+    try:
+        assert periodic._neighboured_count(IntSet.of([1, 3, 10**8]), 10**18, 2, 1) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert check_translate_inequality(IntSet.of([1, 10**12]), 10**18, 1, 1, 1, 2) is True
+    assert check_translate_inequality(IntSet.of([1, 10**12 + 1]), 5, 1, 10**12, 2, 2) is True
 
 
 def test_translate_inequality_examples():
