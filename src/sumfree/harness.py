@@ -82,16 +82,12 @@ def grow_k_sum_free(
             total = sums[j] = sums[j] | total << x
     seeded = sums[1]
     top = seeded.bit_length() - 1
+    candidates = range(1, horizon + 1)
     if seeded:
-        candidates = [
-            x for x in range(1, horizon + 1)
-            if not seeded >> x & 1 and (not thin or rng.random() <= include_probability)
-        ]
-    elif thin:
+        candidates = [x for x in candidates if not seeded >> x & 1]
+    if thin:
         draw, p = rng.random, include_probability
-        candidates = [x for x in range(1, horizon + 1) if draw() <= p]
-    else:
-        candidates = range(1, horizon + 1)
+        candidates = [x for x in candidates if draw() <= p]
     kept = []
     reach = sums[k]
     for x in candidates:

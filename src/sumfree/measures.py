@@ -8,17 +8,20 @@ weight of its starting measure, which is what lets a density statement at
 one scale be transported to a dilation-invariant one; ``contraction_index``
 says how many steps that takes for a given tolerance.
 
-Every weight, mass and bound is a Fraction, and no floating point enters any
-computation here.  Long sums run on integer numerators over one common
-denominator, the lcm of the few distinct ones, and become a Fraction once.
+A measure holds positive integer numerators over one denominator, which its
+constructor reduces to lowest terms, and sums run on those integers; its
+weights, mass and support bound are derived from them.  Every weight, mass
+and bound read out is a Fraction, and no floating point enters any
+computation here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import (
     IntSet, _require_arity, _require_int, _require_rational, _require_within, rational_string,
@@ -28,51 +31,72 @@ from .errors import FalsificationError, InvalidParameterError
 SUPPORT_CAP = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class RationalMeasure:
-    """Map point -> positive Fraction weight, with mass and support bound tracked."""
+    """Map point -> weight numerators[point] / denominator, each numerator positive.
 
-    weights: dict
-    mass: Fraction
-    support_max: int
+    Construction reduces to lowest terms (the denominator and the numerators have gcd 1),
+    so == compares measures."""
+
+    numerators: dict
+    denominator: int
+
+    def __post_init__(self) -> None:
+        _require_int(self.denominator, "measure denominator")
+        if min(self.numerators.values(), default=1) <= 0:
+            raise InvalidParameterError("measure numerators must be positive")
+        g = math.gcd(self.denominator, *self.numerators.values())
+        if g != 1:  # one reduced int per distinct numerator, shared by the points carrying it
+            reduced = {n: n // g for n in set(self.numerators.values())}
+            shared = {point: reduced[n] for point, n in self.numerators.items()}
+            object.__setattr__(self, "numerators", shared)
+            object.__setattr__(self, "denominator", self.denominator // g)
 
     @staticmethod
     def from_weights(mapping: Mapping[int, Fraction]) -> "RationalMeasure":
         clean = {}
-        sums: dict[int, int] = {}  # denominator -> sum of the numerators over it
         for point, weight in mapping.items():
             _require_int(point, "support point")
             if type(weight) not in (int, Fraction):
                 _require_rational(weight, f"weight at {point}")
-            numerator = weight.numerator
-            if numerator < 0:
+            if weight.numerator < 0:
                 raise InvalidParameterError(f"weights must be >= 0, got {weight} at {point}")
-            if numerator:
-                clean[point] = weight if type(weight) is Fraction else Fraction(weight)
-                sums[weight.denominator] = sums.get(weight.denominator, 0) + numerator
-        common, factor = _common_denominator(sums)
-        mass = Fraction(sum(n * factor[d] for d, n in sums.items()), common)
-        return RationalMeasure(clean, mass, max(clean, default=0))
+            if weight.numerator:
+                clean[point] = weight
+        common = math.lcm(*{w.denominator for w in clean.values()})
+        return RationalMeasure(
+            {point: w.numerator * (common // w.denominator) for point, w in clean.items()}, common
+        )
+
+    @cached_property
+    def weights(self) -> dict:
+        """Map point -> Fraction weight; points of equal weight share one Fraction."""
+        weight_of = {n: Fraction(n, self.denominator) for n in set(self.numerators.values())}
+        return {point: weight_of[n] for point, n in self.numerators.items()}
+
+    @cached_property
+    def mass(self) -> Fraction:
+        return Fraction(sum(self.numerators.values()), self.denominator)
+
+    @cached_property
+    def support_max(self) -> int:
+        return max(self.numerators, default=0)
+
+    def __repr__(self) -> str:
+        fields = f"weights={self.weights!r}, mass={self.mass!r}, support_max={self.support_max!r}"
+        return f"RationalMeasure({fields})"
 
     def weight_at(self, point: int) -> Fraction:
         return self.weights.get(point, Fraction(0))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.weights))
-
-
-def _common_denominator(denominators: Iterable[int]) -> tuple[int, dict[int, int]]:
-    """The lcm of the denominators, and the factor taking each distinct one to it."""
-    factor = dict.fromkeys(denominators)
-    common = math.lcm(*factor)
-    return common, {d: common // d for d in factor}
+        return tuple(sorted(self.numerators))
 
 
 def uniform_measure(n: int) -> RationalMeasure:
     """Weight 1/n on each of 1..n."""
     _require_int(n, "uniform measure size n")
-    w = Fraction(1, n)
-    return RationalMeasure({p: w for p in range(1, n + 1)}, Fraction(1), n)
+    return RationalMeasure(dict.fromkeys(range(1, n + 1), 1), n)
 
 
 def mix(coefficients: Sequence[Fraction], measures: Sequence[RationalMeasure]) -> RationalMeasure:
@@ -84,31 +108,21 @@ def mix(coefficients: Sequence[Fraction], measures: Sequence[RationalMeasure]) -
         raise InvalidParameterError("mix coefficients must be nonnegative")
     if sum(coeffs) != 1:
         raise InvalidParameterError(f"mix coefficients must sum to 1, got {sum(coeffs)}")
-    # c * w is c.n * w.n over c.d * w.d: scale that denominator to the common one
+    # c times n / m.d is c.n * n over c.d * m.d: scale that denominator to the common one
     pairs = [(c, m) for c, m in zip(coeffs, measures) if c]
-    common, factor = _common_denominator(
-        c.denominator * w.denominator for c, m in pairs for w in m.weights.values()
-    )
+    common = math.lcm(*(c.denominator * m.denominator for c, m in pairs))
     numerators: dict[int, int] = {}
     for c, m in pairs:
-        cn, cd = c.numerator, c.denominator
-        for point, w in m.weights.items():
-            scaled = cn * w.numerator * factor[cd * w.denominator]
-            numerators[point] = numerators.get(point, 0) + scaled
-    weight_of = {n: Fraction(n, common) for n in set(numerators.values())}
-    weights = {point: weight_of[n] for point, n in numerators.items()}
-    mass = Fraction(sum(numerators.values()), common)
-    return RationalMeasure(weights, mass, max(weights, default=0))
+        scale = c.numerator * (common // (c.denominator * m.denominator))
+        for point, n in m.numerators.items():
+            numerators[point] = numerators.get(point, 0) + scale * n
+    return RationalMeasure(numerators, common)
 
 
 def pushforward_scale(m: RationalMeasure, q: int) -> RationalMeasure:
     """Image measure under point -> q * point."""
     _require_int(q, "pushforward scale")
-    return RationalMeasure(
-        {q * point: weight for point, weight in m.weights.items()},
-        m.mass,
-        q * m.support_max,
-    )
+    return RationalMeasure({q * point: n for point, n in m.numerators.items()}, m.denominator)
 
 
 def evaluate(m: RationalMeasure, s: IntSet) -> Fraction:
@@ -161,19 +175,22 @@ def build_nu(schedule: NuSchedule) -> RationalMeasure:
     """Average of per-block averages of uniform measures over the schedule."""
     top_scale = schedule.n_sequence[schedule.block_ends[-1]]
     _require_within(top_scale, SUPPORT_CAP, "measure support needs {} points")
-    # scale i carries w_i = 1/((t+1) |block| n_i) on each of 1..n_i, so a point
-    # in (n_{i-1}, n_i] weighs the suffix sum of w_j over the scales j >= i
-    scale_weights = [
-        Fraction(1, (schedule.t + 1) * (end - start) * n)
+    # scale n_i in a block of |block| scales puts 1/((t+1) |block| n_i) on each of 1..n_i:
+    # an integer share of one common denominator.  A point in (n_{i-1}, n_i] carries the
+    # suffix sum of the shares of the scales j >= i, one int shared by the interval, so the
+    # work is linear in the top scale however many scales lie below it
+    denominators = [
+        (schedule.t + 1) * (end - start) * n
         for start, end in zip((-1,) + schedule.block_ends, schedule.block_ends)
         for n in schedule.n_sequence[start + 1 : end + 1]
     ]
-    suffix = sum(scale_weights, Fraction(0))
-    accumulated: dict[int, Fraction] = {}
-    for below, n, w in zip((0,) + schedule.n_sequence, schedule.n_sequence, scale_weights):
-        accumulated |= dict.fromkeys(range(below + 1, n + 1), suffix)
-        suffix -= w
-    built = RationalMeasure.from_weights(accumulated)
+    common = math.lcm(*denominators)
+    suffix = sum(common // d for d in denominators)
+    numerators: dict[int, int] = {}
+    for below, n, d in zip((0,) + schedule.n_sequence, schedule.n_sequence, denominators):
+        numerators |= dict.fromkeys(range(below + 1, n + 1), suffix)
+        suffix -= common // d
+    built = RationalMeasure(numerators, common)
     if built.mass != 1:
         raise FalsificationError(f"block-average measure has mass {built.mass}, expected 1")
     return built

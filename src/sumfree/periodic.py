@@ -108,7 +108,9 @@ def find_ap(s: IntSet, n0: int, ap_length: int, modulus: int) -> Optional[tuple[
     _require_int(ap_length, "progression length")
     _require_int(modulus, "modulus")
     _require_int(n0, "horizon")
-    divisors = (m for m in range(1, modulus + 1) if modulus % m == 0)
+    # a progression of two or more terms in [1, n0] has a step below n0, and at
+    # length 1 step 1 answers first, so no divisor past n0 can give an answer
+    divisors = (m for m in range(1, min(modulus, n0) + 1) if modulus % m == 0)
     return next(_progressions(s, n0, ap_length, divisors), None)
 
 

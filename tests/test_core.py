@@ -112,23 +112,19 @@ def test_difference_cap_stops_the_set_before_its_sums(monkeypatch):
         raise AssertionError("the sums were built past the cap")
 
     monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 209)
-    monkeypatch.setattr(core, "_sums_of", refuse)
+    monkeypatch.setattr(core, "_mask", refuse)
+    monkeypatch.setattr(core, "_shift_or", refuse)
     with pytest.raises(ResourceLimitError) as err:
         k_difference_set(s, 3, 10)
     assert err.value.required == 210
 
 
-def test_verifier_refuses_a_difference_set_past_the_default_work_cap(monkeypatch):
+def test_verifier_refuses_a_difference_set_past_the_default_work_cap():
     # (1333, 4000] is 3-sum-free, and its 2667·(2·4000 + 1) differences pass the cap
     instance = periodic.DensityDropInstance(
         elements=IntSet.of(range(1334, 4001)), n0=4000, ap_start=1334, ap_step=1,
         ap_length=3, difference=-1334, eps=Fraction(1, 48), ratio=Fraction(48), k=3,
     )
-
-    def refuse(*args):
-        raise AssertionError("the sums were built past the cap")
-
-    monkeypatch.setattr(core, "_sums_of", refuse)
     with pytest.raises(ResourceLimitError) as err:
         periodic.verify_density_drop(instance, 3)
     assert err.value.required == 2667 * 8001 > core.DIFFERENCE_WORK_CAP

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -57,6 +59,42 @@ def test_mix_examples():
     blended = mix([Fraction(1, 2), Fraction(1, 2)], [uniform_measure(1), uniform_measure(2)])
     assert blended.weights == {1: Fraction(3, 4), 2: Fraction(1, 4)}
     assert blended.mass == 1
+
+
+def test_uniform_measure_repr_is_pinned():
+    # the benchmark's input digest reads this text
+    assert repr(uniform_measure(2)) == (
+        "RationalMeasure(weights={1: Fraction(1, 2), 2: Fraction(1, 2)}, "
+        "mass=Fraction(1, 1), support_max=2)"
+    )
+
+
+def test_mix_reduces_numerators_sharing_a_factor():
+    # the raw numerators 2, 2 over 4 share the factor 2 with their denominator
+    half = Fraction(1, 2)
+    got = mix([half, half], [uniform_measure(2)] * 2)
+    assert got == uniform_measure(2)
+    assert (got.numerators, got.denominator) == ({1: 1, 2: 1}, 2)
+    thirds = mix([Fraction(1, 3), Fraction(2, 3)], [uniform_measure(3), uniform_measure(3)])
+    assert thirds == uniform_measure(3) and thirds.denominator == 3
+
+
+def test_constructor_reduces_to_lowest_terms():
+    m = RationalMeasure({1: 2, 2: 2}, 4)
+    assert m == uniform_measure(2)
+    assert (m.numerators, m.denominator) == ({1: 1, 2: 1}, 2)
+    assert RationalMeasure({3: 6, 1: 4}, 10) == RationalMeasure.from_weights(
+        {3: Fraction(3, 5), 1: Fraction(2, 5)}
+    )
+    assert list(RationalMeasure({3: 6, 1: 4}, 10).numerators) == [3, 1]
+
+
+@pytest.mark.parametrize(
+    "numerators, denominator", [({1: 0}, 1), ({1: 1, 2: -1}, 3), ({1: 1}, 0), ({1: 1}, -2)]
+)
+def test_constructor_refuses_a_non_positive_numerator_or_denominator(numerators, denominator):
+    with pytest.raises(InvalidParameterError):
+        RationalMeasure(numerators, denominator)
 
 
 def test_mix_validates_coefficients():
@@ -172,6 +210,23 @@ def test_build_nu_block_structure():
     assert evaluate(nu, IntSet.of(range(1, 9))) == 1
 
 
+def test_build_nu_on_a_dense_schedule_is_linear_in_the_top_scale():
+    # 200 scales below 10^4 sum to about 10^6 points: a build that held one uniform
+    # measure per scale would peak near 100 MB, one walk over 1..10^4 stays near 1 MB
+    scales = tuple(range(50, 10_001, 50))
+    schedule = NuSchedule(scales, (0, len(scales) - 1), Fraction(1, 4), 2)
+    tracemalloc.start()
+    try:
+        nu = build_nu(schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * scales[-1]
+    assert (nu.mass, nu.support_max, len(set(nu.weights.values()))) == (1, 10_000, 200)
+    top_weight = Fraction(1, 2 * (len(scales) - 1) * scales[-1])
+    assert nu.weight_at(scales[-1]) == top_weight
+
+
 def test_build_nu_mass_one_on_random_schedules():
     rng = random.Random(99)
     for _ in range(50):
@@ -221,8 +276,7 @@ def test_build_mu_recursion_structure():
 
 def test_build_mu_validates_provider_mass():
     def broken(n):
-        good = uniform_measure(n)
-        return RationalMeasure(weights={1: Fraction(1, 2)}, mass=Fraction(1, 2), support_max=1)
+        return RationalMeasure({1: 1}, 2)
 
     with pytest.raises(InvalidParameterError):
         build_mu(2, 2, 2, broken)
@@ -351,7 +405,8 @@ def mix_weights_by_fractions(coefficients, measures) -> dict:
 
 
 def assert_measure_is(m: RationalMeasure, weights: dict) -> None:
-    """Same weights in the same order, all Fractions; mass and support as summed."""
+    """Same weights in the same order, all Fractions; lowest terms; mass and support as summed."""
+    assert math.gcd(m.denominator, *m.numerators.values()) == 1
     assert list(m.weights.items()) == list(weights.items())
     assert all(type(w) is Fraction for w in m.weights.values())
     assert type(m.mass) is Fraction
@@ -408,7 +463,7 @@ def test_build_mu_matches_the_fraction_by_fraction_sum(k):
         for _ in range(i_max - 1):
             parts = [pushforward_scale(mu, q), uniform_measure(q * mu.support_max)]
             weights = mix_weights_by_fractions([Fraction(k, k + 1), Fraction(1, k + 1)], parts)
-            mu = RationalMeasure(weights, sum(weights.values(), Fraction(0)), max(weights))
+            mu = RationalMeasure.from_weights(weights)
         built = build_mu(i_max, q, k, uniform_measure, n_start=n_start)
         assert_measure_is(built, mu.weights)
         assert built == mu
@@ -425,4 +480,4 @@ def test_from_weights_refuses_negative_weights_and_drops_zeros():
     assert m.weights == {2: Fraction(1, 3), 4: Fraction(2)}
     assert all(type(w) is Fraction for w in m.weights.values())
     assert (m.mass, m.support_max) == (Fraction(7, 3), 4)
-    assert RationalMeasure.from_weights({1: 0}) == RationalMeasure({}, Fraction(0), 0)
+    assert RationalMeasure.from_weights({1: 0}) == RationalMeasure({}, 1)

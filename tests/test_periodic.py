@@ -315,6 +315,33 @@ def test_find_ap_prefers_small_step_then_small_start():
     assert find_ap(s2, 9, 3, 2) == (5, 1)
 
 
+def test_find_ap_scans_no_step_past_the_horizon(monkeypatch):
+    scan = periodic._progressions
+
+    def spy(s, n0, ap_length, steps):
+        def bounded():
+            for m in steps:
+                if m > n0:
+                    raise AssertionError(f"step {m} scanned past n0 = {n0}")
+                yield m
+
+        return scan(s, n0, ap_length, bounded())
+
+    monkeypatch.setattr(periodic, "_progressions", spy)
+    # 10^7 has 16 as a divisor: an unbounded scan reaches it, and would run on to 10^7
+    assert find_ap(IntSet.of([1]), 10, 2, 10**7) is None
+    assert find_ap(IntSet.of([1]), 10, 1, 10**12) == (1, 1)
+    assert find_ap(IntSet.of([3, 8]), 10, 2, 10**12) == (3, 5)
+    # the answers are those of a scan over every divisor of the modulus
+    rng = random.Random(30)
+    for _ in range(200):
+        n0, modulus, ap_length = rng.randrange(1, 20), rng.randrange(1, 400), rng.randrange(1, 5)
+        s = IntSet.of(rng.sample(range(1, 40), rng.randrange(0, 12)))
+        divisors = [m for m in range(1, modulus + 1) if modulus % m == 0]
+        expected = naive_progressions(s, n0, ap_length, divisors)
+        assert find_ap(s, n0, ap_length, modulus) == (expected[0] if expected else None)
+
+
 @given(
     st.sets(st.integers(min_value=1, max_value=60), max_size=12),
     st.integers(min_value=1, max_value=4),
