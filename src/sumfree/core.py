@@ -4,13 +4,14 @@ A set A of positive integers is k-sum-free when no multiset of k elements
 of A (repetition allowed) sums to an element of A.  Strong k-sum-freeness
 asks the same for every arity from 2 up to k.  This module holds the set
 type used throughout the package, the predicates with their violation
-certificates, and the difference set used by the periodic machinery.
+certificates, and the difference set behind the periodic kernel and drop.
 
 Two independent routes decide the predicate: a bitset route that builds
 iterated sumsets by shifted OR on Python integers, and a direct multiset
-enumeration with monotone pruning.  They must agree; the test suite
-checks that.  ``is_k_sum_free`` estimates the cost of each from |A|,
-max A, the mean of A and k, and takes the cheaper: dense sets of small
+enumeration with monotone pruning, on an explicit stack so any k fits.
+They must agree; the test suite checks that.  ``is_k_sum_free`` answers
+at once when k·min A > max A; otherwise it estimates the cost of each from
+|A|, max A, the mean of A and k, and takes the cheaper: dense sets of small
 integers go to the bitsets, sparse sets of large integers to the
 enumeration.  ``bitset_cap`` is a hard limit on the bitset route; a set
 whose largest element exceeds it is always enumerated.
@@ -174,33 +175,33 @@ def _violations(
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Each (summands, total) with k nondecreasing summands, total <= top, total in A.
 
-    Yields in lexicographic order of the summands.  A summand is pushed only
-    above the leaf level, so the last summand is a plain loop; the branch
-    stops as soon as the remaining summands cannot stay within ``top``.
+    Yields in lexicographic order of the summands, walking depth first on an
+    explicit stack (``picked`` summands, their ``indices``, running ``totals``),
+    so any k fits.  The last summand is a plain loop; a branch stops as soon
+    as the remaining summands cannot stay within ``top``.
     """
     members = frozenset(elements)
-    count = len(elements)
-    picked: list[int] = []
-
-    def extend(start: int, total: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        remaining = k - len(picked)
+    picked, indices, totals = [], [], [0]
+    idx = 0
+    while True:
+        total, remaining = totals[-1], k - len(picked)
         if remaining == 1:
-            for idx in range(start, count):
+            for idx in range(idx, len(elements)):
                 a = elements[idx]
                 if total + a > top:
                     break
                 if total + a in members:
                     yield (*picked, a), total + a
+        elif idx < len(elements) and total + elements[idx] * remaining <= top:
+            picked.append(elements[idx])
+            indices.append(idx)
+            totals.append(total + elements[idx])
+            continue
+        if not indices:
             return
-        for idx in range(start, count):
-            a = elements[idx]
-            if total + a * remaining > top:
-                break
-            picked.append(a)
-            yield from extend(idx, total + a)
-            picked.pop()
-
-    return extend(0, 0)
+        idx = indices.pop() + 1
+        picked.pop()
+        totals.pop()
 
 
 def _enumeration_route(elements: tuple[int, ...], k: int) -> bool:
@@ -230,12 +231,13 @@ def _enumeration_is_cheaper(elements: tuple[int, ...], k: int) -> bool:
 def is_k_sum_free(s: IntSet, k: int, bitset_cap: int = DEFAULT_BITSET_CAP) -> bool:
     """True iff no k-element multiset from s sums to an element of s.
 
-    The bitset route runs only when the largest element is at most
-    ``bitset_cap`` (so a cap of 0 forces enumeration) and a cost estimate
-    from |A|, max A, the mean of A and k rates it the cheaper route.
+    True at once when k·min A > max A.  Otherwise the bitset route runs only
+    when the largest element is at most ``bitset_cap`` (so a cap of 0 forces
+    enumeration) and a cost estimate from |A|, max A, the mean of A and k
+    rates it the cheaper route.
     """
     _require_arity(k)
-    if not s:
+    if not s or k * s.elements[0] > s.largest():  # every k-fold sum passes max A
         return True
     if s.largest() <= bitset_cap and not _enumeration_is_cheaper(s.elements, k):
         return _bitset_route(s.elements, k)
@@ -263,14 +265,6 @@ def is_strongly_k_sum_free(s: IntSet, k: int) -> bool:
     """True iff s is ell-sum-free for every ell in 2..k."""
     _require_arity(k)
     return all(is_k_sum_free(s, ell) for ell in range(2, k + 1))
-
-
-def _sums_of(elements: tuple[int, ...], count: int) -> set:
-    """All sums of ``count`` elements, repetition allowed; {0} when count is 0."""
-    sums = {0}
-    for _ in range(count):
-        sums = {t + a for t in sums for a in elements}
-    return sums
 
 
 def k_difference_set(s: IntSet, k: int, n: int) -> frozenset:

@@ -2,7 +2,8 @@
 
 Projects a set onto residues modulo Q, tests sum-freeness at residue
 level, extracts the difference kernel (residues that can never be hit by
-adding k-1 set elements), searches for arithmetic progressions with
+adding k-1 set elements, read off ``core.k_difference_set`` on the
+residues lifted to [1, Q]), searches for arithmetic progressions with
 constrained difference, and runs the containment-or-density-drop step:
 either the residue projection certifies a periodic k-sum-free superset,
 or an explicit density drop along a fast-growing schedule is located and
@@ -21,12 +22,13 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
     IntSet, _bits, _mask, _require_arity, _require_int, _require_rational, _require_within,
-    _sums_of, is_k_sum_free, k_difference_set, rational_string,
+    is_k_sum_free, k_difference_set, rational_string,
 )
 from .errors import FalsificationError, InvalidParameterError
 
 # bound on the bits of all entries of one geometric schedule (about 12 MB)
 SCHEDULE_BIT_CAP = 10**8
+PROGRESSION_BIT_CAP = 10**7  # width of the progression search's mask (about 1.2 MB)
 
 
 def density(s: IntSet, n: int) -> Fraction:
@@ -70,14 +72,14 @@ def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
     defining condition cannot land in r, let alone in the kernel.  r is
     k-sum-free at residue level, and so is the periodic set it stands for,
     exactly when the kernel is all of r.
+
+    x plus k-1 members of r is a member u exactly when x ≡ u minus those k-1,
+    so the kernel is r less the residues of ``k_difference_set`` on r lifted
+    to [1, Q] (residue 0 stands as Q), and DIFFERENCE_WORK_CAP bounds it.
     """
-    _require_arity(k)
-    shifts = {t % r.modulus for t in _sums_of(tuple(r.residues), k - 1)}
-    kept = frozenset(
-        x for x in r.residues
-        if all((x + t) % r.modulus not in r.residues for t in shifts)
-    )
-    return ResidueSet(r.modulus, kept)
+    q = r.modulus
+    reached = k_difference_set(IntSet.of(x or q for x in r.residues), k, q)
+    return ResidueSet(q, r.residues - {t % q for t in reached})
 
 
 def _progressions(
@@ -87,9 +89,12 @@ def _progressions(
 
     A shifted AND: with M the bitmask of s ∩ [1, n0], the starts for step m
     are the set bits of M & M>>m & ... & M>>(ap_length-1)m.  Steps are taken
-    in the given order, and starts ascending within a step.
+    in the given order, and starts ascending within a step.  M is as wide as
+    max(s ∩ [1, n0]); past PROGRESSION_BIT_CAP it is refused before it is built.
     """
-    mask = _mask(s.upto(n0).elements)
+    restricted = s.upto(n0).elements
+    _require_within(max(restricted, default=0), PROGRESSION_BIT_CAP, "progression mask has {} bits")
+    mask = _mask(restricted)
     for m in steps:
         starts = mask
         for j in range(1, ap_length):

@@ -25,7 +25,7 @@ from sumfree import (
     read_set_file,
     write_set_file,
 )
-from sumfree import core, dilation, experiments, folner, harness, measures, periodic
+from sumfree import core, dilation, experiments, folner, harness, measures, periodic, solver
 
 
 def naive_violations(elements, k):
@@ -154,11 +154,31 @@ def test_verifier_builds_no_difference_mask_past_the_default_work_cap(monkeypatc
     assert err.value.required == 2667 * 8001 > core.DIFFERENCE_WORK_CAP
 
 
+# arities past the strategy's, up to 7, where the walk's stack runs deepest
+deep_arity_examples = [
+    ({1, 2, 3, 7}, 7),
+    ({2, 3, 5, 7, 11, 13, 17, 19, 23, 29}, 7),
+    ({1, 5, 6, 30, 31, 35}, 6),
+    ({3, 4, 5, 20, 21, 22, 35}, 5),
+    ({4, 9, 40, 41, 60}, 6),
+]
+
+
+def with_deep_arities(test):
+    for values, k in deep_arity_examples:
+        test = example(values, k)(test)
+    return test
+
+
+@with_deep_arities
 @given(small_sets, arities)
 def test_predicate_matches_naive_enumeration(values, k):
     s = IntSet.of(values)
-    expected = not naive_violations(s.elements, k)
-    assert is_k_sum_free(s, k) == expected
+    everything = naive_violations(s.elements, k)
+    assert is_k_sum_free(s, k) == (not everything)
+    # naive_violations lists the sorted multisets in lexicographic order, as the walk must
+    if s:
+        assert list(core._violations(s.elements, k, s.largest())) == everything
 
 
 @given(small_sets, arities)
@@ -170,6 +190,7 @@ def test_bitset_and_fallback_routes_agree(values, k):
         assert core._bitset_route(s.elements, k) == core._enumeration_route(s.elements, k)
 
 
+@with_deep_arities
 @given(small_sets, arities)
 def test_violation_is_smallest_and_sound(values, k):
     s = IntSet.of(values)
@@ -183,6 +204,31 @@ def test_violation_is_smallest_and_sound(values, k):
         assert sum(got.summands) == got.total
         assert all(a in s for a in got.summands) and got.total in s
         assert (got.total, got.summands) == best
+
+
+def test_large_arities_on_a_sparse_set_need_no_deep_stack():
+    # an enumeration that recursed once per summand would pass CPython's 1000 frames here
+    wide = IntSet.of([1, 10**12])
+    assert is_k_sum_free(wide, 2000) is True
+    assert find_violation(wide, 2000) is None
+    assert solver.build_hypergraph(wide, 2000).edges == ()
+    # 2000 ones sum to a member, so the walk yields from its deepest level
+    hit = IntSet.of([1, 2000])
+    assert is_k_sum_free(hit, 2000) is False
+    assert find_violation(hit, 2000) == Violation((1,) * 2000, 2000)
+    assert solver.build_hypergraph(hit, 2000).edges == ((1, 2000),)
+
+
+def test_arity_past_max_over_min_is_answered_before_the_route_estimate(monkeypatch):
+    def refuse(elements, k):
+        raise AssertionError("the routes were costed although every k-fold sum passes max A")
+
+    monkeypatch.setattr(core, "_enumeration_is_cheaper", refuse)
+    assert is_k_sum_free(IntSet.of([1, 2, 3]), 10**6) is True
+    assert is_k_sum_free(IntSet.of([5, 9, 14]), 3) is True
+    with pytest.raises(AssertionError):
+        # 3·1 = 3 is a member, so this one is costed
+        is_k_sum_free(IntSet.of([1, 2, 3]), 3)
 
 
 @given(small_sets, arities, st.randoms(use_true_random=False))

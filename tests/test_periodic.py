@@ -46,7 +46,7 @@ from sumfree import (
 )
 from sumfree.core import rational_string
 from sumfree.harness import find_progressions, grow_k_sum_free, random_drop_instance
-from sumfree import periodic
+from sumfree import core, periodic
 from sumfree.periodic import SCHEDULE_BIT_CAP
 
 
@@ -106,6 +106,39 @@ def test_difference_kernel_examples():
     assert difference_kernel(ResidueSet.of(3, [0]), 2) == ResidueSet.of(3, [])
     clean = ResidueSet.of(2, [1])
     assert difference_kernel(clean, 2) == clean
+
+
+def test_difference_kernel_is_refused_past_the_difference_cap_before_any_mask(monkeypatch):
+    # {1, 2} mod 7 lifts to {1, 2}: 2·(2 + 1) = 6 differences at k = 2
+    monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 6)
+    assert difference_kernel(ResidueSet.of(7, [1, 2]), 2) == ResidueSet.of(7, [2])
+    monkeypatch.setattr(core, "DIFFERENCE_WORK_CAP", 5)
+    with pytest.raises(ResourceLimitError) as err:
+        difference_kernel(ResidueSet.of(7, [1, 2]), 2)
+    assert err.value.required == 6
+
+    def refuse(*args):
+        raise AssertionError("a mask was built past the cap")
+
+    # the odd half of Z/(2·10^5) at k = 2 forms up to 10^5·(199999 + 1) differences
+    monkeypatch.undo()
+    monkeypatch.setattr(core, "_mask", refuse)
+    monkeypatch.setattr(core, "_shift_or", refuse)
+    with pytest.raises(ResourceLimitError) as err:
+        difference_kernel(ResidueSet.of(2 * 10**5, range(1, 2 * 10**5, 2)), 2)
+    assert err.value.required == 2 * 10**10 > core.DIFFERENCE_WORK_CAP
+
+
+def test_fls_step_at_the_largest_scheduled_horizon_stays_under_the_difference_cap():
+    # n0 = 2499 is the largest horizon SCHEDULE_BIT_CAP admits at k = 2, eps = 1/6; the
+    # kernel's differences there, at most 1250·(2499 + 1), are under DIFFERENCE_WORK_CAP
+    odds, eps = IntSet.of(range(1, 5000, 2)), Fraction(1, 6)
+    i = min_ap_length(2, eps)
+    with pytest.raises(ResourceLimitError, match="schedule"):
+        fls_step(odds, 2, 2500, 2500, i, eps)
+    hull = periodic_hull(odds, 2499, 2500)
+    assert fls_step(odds, 2, 2499, 2500, i, eps) == PeriodicContainment(hull)
+    assert fls_step(odds, 2, 2499, 2499, i, eps) == ApNotFound()
 
 
 def test_residue_predicate_and_kernel_match_their_definitions():
@@ -340,6 +373,27 @@ def test_find_ap_scans_no_step_past_the_horizon(monkeypatch):
         divisors = [m for m in range(1, modulus + 1) if modulus % m == 0]
         expected = naive_progressions(s, n0, ap_length, divisors)
         assert find_ap(s, n0, ap_length, modulus) == (expected[0] if expected else None)
+
+
+def test_progression_mask_is_refused_past_its_cap_before_it_is_built(monkeypatch):
+    # the mask of {1, 10} reaches bit 10, and 1, 10 is a progression of step 9
+    monkeypatch.setattr(periodic, "PROGRESSION_BIT_CAP", 10)
+    assert find_ap(IntSet.of([1, 10]), 10, 2, 9) == (1, 9)
+    monkeypatch.setattr(periodic, "PROGRESSION_BIT_CAP", 9)
+    with pytest.raises(ResourceLimitError) as err:
+        find_ap(IntSet.of([1, 10]), 10, 2, 9)
+    assert err.value.required == 10
+
+    def refuse(*args):
+        raise AssertionError("the progression mask was built past the cap")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(periodic, "_mask", refuse)
+    wide = IntSet.of([1, 10**8])
+    for search in (find_ap, find_progressions):
+        with pytest.raises(ResourceLimitError) as err:
+            search(wide, 10**8, 2, 1)
+        assert err.value.required == 10**8 > periodic.PROGRESSION_BIT_CAP
 
 
 @given(
