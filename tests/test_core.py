@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sumfree import (
@@ -475,7 +475,6 @@ RATIONAL_CALLS = [
     ("verify_density_drop", lambda v: periodic.verify_density_drop(replace(_drop, eps=v), 2)),
     ("geometric_schedule", lambda v: periodic.geometric_schedule(2, v, 4)),
     ("NuSchedule", lambda v: measures.NuSchedule((1,), (0,), v, 2)),
-    ("contraction_index", lambda v: measures.contraction_index(2, v)),
     ("from_weights", lambda v: measures.RationalMeasure.from_weights({1: v})),
     ("mix", lambda v: measures.mix([Fraction(1, 2), v], [_uniform, _uniform])),
 ]

@@ -16,15 +16,11 @@ from sumfree import (
     IntSet,
     InvalidParameterError,
     ResourceLimitError,
-    OpenInterval,
     RationalMeasure,
-    erdos_interval,
-    evaluate,
     extract_dilate_exhaustive,
     extract_dilate_folner,
     extract_dilate_measure,
     generate,
-    interval_is_k_sum_free,
     is_k_sum_free,
     max_k_sum_free,
     set_dilation_defect,
@@ -39,8 +35,15 @@ from sumfree.dilation import (
 )
 
 
-def slice_members(s: IntSet, x: Fraction, lo: Fraction, hi: Fraction) -> IntSet:
+def erdos_arc(k: int) -> tuple[Fraction, Fraction]:
+    """Oracle: the open arc (1/(k^2-1), k/(k^2-1)) that the dilation kernels hardcode."""
+    p = k * k - 1
+    return Fraction(1, p), Fraction(k, p)
+
+
+def slice_members(s: IntSet, x: Fraction, k: int) -> IntSet:
     """Oracle: which elements a have frac(a*x) inside the open arc."""
+    lo, hi = erdos_arc(k)
     picked = []
     for a in s:
         frac = (a * x) % 1
@@ -52,37 +55,28 @@ def slice_members(s: IntSet, x: Fraction, lo: Fraction, hi: Fraction) -> IntSet:
 small_sets = st.sets(st.integers(min_value=1, max_value=100), min_size=1, max_size=12)
 
 
-def test_interval_examples():
-    assert erdos_interval(2) == OpenInterval(Fraction(1, 3), Fraction(2, 3))
-    assert erdos_interval(3) == OpenInterval(Fraction(1, 8), Fraction(3, 8))
-    assert erdos_interval(10) == OpenInterval(Fraction(1, 99), Fraction(10, 99))
-
-
 def test_interval_geometry():
     for k in range(2, 12):
-        arc = erdos_interval(k)
-        assert arc.hi - arc.lo == Fraction(1, k + 1)
+        lo, hi = erdos_arc(k)
+        assert hi - lo == Fraction(1, k + 1)
         centre = Fraction(1, 2 * k - 2)
-        assert arc.lo + arc.hi == 2 * centre
-        assert 0 < arc.lo < arc.hi <= 1
+        assert lo + hi == 2 * centre
+        assert 0 < lo < hi <= 1
 
 
 def test_interval_sum_free_for_all_small_k():
+    # k points of the arc sum into (k*lo, k*hi), which straddles 1 and misses the arc mod 1
     for k in range(2, 11):
-        assert interval_is_k_sum_free(k) is True
+        lo, hi = erdos_arc(k)
+        assert k * lo < 1 < k * hi and k * lo >= hi and k * hi - 1 <= lo
 
 
 def test_interval_endpoint_identities():
     # the arc is exactly the fixed set of the times-k map's escape region
     for k in range(2, 11):
-        arc = erdos_interval(k)
-        assert k * arc.lo == arc.hi
-        assert k * arc.hi == 1 + arc.lo
-
-
-def test_interval_rejects_bad_arity():
-    with pytest.raises(InvalidParameterError):
-        erdos_interval(1)
+        lo, hi = erdos_arc(k)
+        assert k * lo == hi
+        assert k * hi == 1 + lo
 
 
 def test_exhaustive_examples():
@@ -111,8 +105,7 @@ def test_sweep_guarantee_and_feasibility(values, k):
     assert got.score == len(got.subset)
     assert is_k_sum_free(got.subset, k)
     assert got.score >= math.ceil(Fraction(len(s), k + 1))
-    arc = erdos_interval(k)
-    assert got.subset == slice_members(s, got.dilator, arc.lo, arc.hi)
+    assert got.subset == slice_members(s, got.dilator, k)
 
 
 @given(small_sets, st.integers(min_value=2, max_value=3), st.integers(min_value=0, max_value=10**6))
@@ -120,13 +113,12 @@ def test_sweep_guarantee_and_feasibility(values, k):
 def test_sweep_dominates_random_sampling(values, k, seed):
     s = IntSet.of(values)
     best = extract_dilate_exhaustive(s, k, method="sweep").score
-    arc = erdos_interval(k)
     import random
 
     rng = random.Random(seed)
     for _ in range(300):
         x = Fraction(rng.randrange(1, 10**6), 10**6)
-        assert len(slice_members(s, x, arc.lo, arc.hi)) <= best
+        assert len(slice_members(s, x, k)) <= best
 
 
 def test_sweep_matches_dense_sampling_on_small_sets():
@@ -134,11 +126,8 @@ def test_sweep_matches_dense_sampling_on_small_sets():
     s = IntSet.of([1, 2, 3, 4, 5])
     k = 2
     best = extract_dilate_exhaustive(s, k, method="sweep").score
-    arc = erdos_interval(k)
     denom = 2 * sum(s.elements) + 1
-    sampled = max(
-        len(slice_members(s, Fraction(j, denom), arc.lo, arc.hi)) for j in range(denom)
-    )
+    sampled = max(len(slice_members(s, Fraction(j, denom), k)) for j in range(denom))
     assert sampled == best
 
 
@@ -238,7 +227,7 @@ def test_measure_extraction_bound():
     fset = set(f.elements)
     eps = max(Fraction(len({a * x for x in fset} ^ fset), len(fset)) for a in range(1, n + 1))
     assert got.score >= delta - eps
-    assert evaluate(uniform_measure(n), got.subset) == got.score
+    assert sum(uniform_measure(n).weight_at(a) for a in got.subset) == got.score
 
 
 def measure_extraction_by_fractions(f, inner, m, k):
@@ -282,7 +271,7 @@ def test_measure_extraction_ties_go_to_the_first_ascending_dilator():
     m = RationalMeasure.from_weights({25: Fraction(1, 6), 20: Fraction(1, 6), 2: Fraction(1, 3)})
 
     def weight(x):
-        return evaluate(m, IntSet.of(a for a in m.weights if a * x in inner))
+        return sum((w for a, w in m.weights.items() if a * x in inner), Fraction(0))
 
     assert max(map(weight, f.elements)) == Fraction(1, 3)
     assert [x for x in f.elements if weight(x) == Fraction(1, 3)][:2] == [1, 2]
@@ -298,7 +287,6 @@ def oracle_sweep(elements, k):
     the midpoint of the first gap that attains it.
     """
     p = k * k - 1
-    arc = erdos_interval(k)
     points = {Fraction(0), Fraction(1)}
     for a in elements:
         for j in range(a):
@@ -309,7 +297,7 @@ def oracle_sweep(elements, k):
     s = IntSet(tuple(elements))
     for left, right in zip(ordered, ordered[1:]):
         mid = (left + right) / 2
-        count = len(slice_members(s, mid, arc.lo, arc.hi))
+        count = len(slice_members(s, mid, k))
         if count > best_count:
             best_count, best_mid = count, mid
     return best_count, best_mid
@@ -405,8 +393,7 @@ def check_descent(s, k):
     got = extract_dilate_exhaustive(s, k, method="descent")
     assert got.score * (k + 1) >= len(s)
     assert is_k_sum_free(got.subset, k)
-    arc = erdos_interval(k)
-    assert got.subset == slice_members(s, got.dilator, arc.lo, arc.hi)
+    assert got.subset == slice_members(s, got.dilator, k)
 
 
 @given(

@@ -8,7 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from sumfree import (
@@ -19,9 +19,7 @@ from sumfree import (
     ResourceLimitError,
     build_mu,
     build_nu,
-    contraction_index,
     difference_kernel,
-    evaluate,
     is_k_sum_free,
     mix,
     parse_measure,
@@ -33,6 +31,11 @@ from sumfree import (
 
 fractions = st.fractions(min_value=0, max_value=1)
 small_sets = st.sets(st.integers(min_value=1, max_value=30), max_size=10)
+
+
+def evaluate(m: RationalMeasure, s: IntSet) -> Fraction:
+    """Oracle: the measure of s, its support points' weights added one Fraction at a time."""
+    return sum((w for point, w in m.weights.items() if point in s), Fraction(0))
 
 
 def random_measure(rng: random.Random) -> RationalMeasure:
@@ -171,9 +174,8 @@ def test_evaluate_is_linear_in_the_measure(values, rng):
     [
         lambda k: NuSchedule((5, 10), (0, 1), Fraction(1, 4), k),
         lambda k: build_mu(2, 2, k, uniform_measure),
-        lambda k: contraction_index(k, Fraction(1, 4)),
     ],
-    ids=["NuSchedule", "build_mu", "contraction_index"],
+    ids=["NuSchedule", "build_mu"],
 )
 def test_non_integer_arity_rejected(build):
     with pytest.raises(InvalidParameterError, match="integer"):
@@ -306,20 +308,32 @@ def test_build_mu_refuses_a_scale_past_the_support_cap_before_building_it():
     assert requests == [1, 10**4]
 
 
-def test_contraction_index_examples():
-    assert contraction_index(2, Fraction(1, 10)) == 4
-    assert contraction_index(2, Fraction(1, 3)) == 1
-    assert contraction_index(9, Fraction(1, 10)) == 16
+def test_build_mu_refuses_requests_summing_past_twice_the_support_cap_before_building_any():
+    def unreachable(n):
+        raise AssertionError(f"provider called at {n}")
 
+    def point_mass(n):
+        return RationalMeasure.from_weights({n: 1})
 
-def test_contraction_index_minimality():
-    for k in (2, 3, 7):
-        for eps in (Fraction(1, 10), Fraction(1, 50), Fraction(2, 9)):
-            i = contraction_index(k, eps)
-            ratio = Fraction(k, k + 1)
-            assert ratio**i <= 2 * eps
-            if i > 1:
-                assert ratio ** (i - 1) > 2 * eps
+    # at Q = 1 every request is n_start, so the step count alone sets the sum
+    for i_max, n_start in [(10**9, 1), (4, 10**6), (21, 10**5)]:
+        with pytest.raises(ResourceLimitError, match="requests sum") as caught:
+            build_mu(i_max, 1, 2, unreachable, n_start=n_start)
+        assert caught.value.required == i_max * n_start
+    assert build_mu(20, 1, 2, point_mass, n_start=10**5) == point_mass(10**5)
+
+    requests = []
+
+    def drifting(n):
+        requests.append(n)
+        return RationalMeasure.from_weights({n + 10**5: 1})
+
+    # a provider that over-supplies raises each request by 10^5: the seventh would bring
+    # the sum to 2100007, so it is refused unmade
+    with pytest.raises(ResourceLimitError, match="requests sum") as caught:
+        build_mu(10, 1, 2, drifting)
+    assert caught.value.required == 2_100_007
+    assert requests == [1 + j * 10**5 for j in range(6)]
 
 
 def test_serialize_measure_format_and_round_trip():
@@ -359,7 +373,8 @@ def test_contraction_bound_on_periodic_corpus():
     """
     k, q = 2, 2
     eps = Fraction(1, 10)
-    i_max = contraction_index(k, eps)
+    # the least i with (k/(k+1))^i <= 2*eps
+    i_max = next(i for i in range(1, 100) if Fraction(k, k + 1) ** i <= 2 * eps)
     assert i_max == 4
     mu = build_mu(i_max, q, k, uniform_measure, n_start=3)
     assert mu.mass == 1
