@@ -473,6 +473,8 @@ RATIONAL_CALLS = [
     ("min_ap_length", lambda v: periodic.min_ap_length(2, v)),
     ("fls_step", lambda v: periodic.fls_step(_odds, 2, 100, 2, 3, v)),
     ("verify_density_drop", lambda v: periodic.verify_density_drop(replace(_drop, eps=v), 2)),
+    ("verify_density_drop.ratio",
+     lambda v: periodic.verify_density_drop(replace(_drop, ratio=v), 2)),
     ("geometric_schedule", lambda v: periodic.geometric_schedule(2, v, 4)),
     ("NuSchedule", lambda v: measures.NuSchedule((1,), (0,), v, 2)),
     ("from_weights", lambda v: measures.RationalMeasure.from_weights({1: v})),

@@ -31,6 +31,7 @@ from sumfree.dilation import (
     _breakpoint_free,
     _descend,
     _region_midpoint,
+    _slice_members,
     _sweep,
 )
 
@@ -55,6 +56,20 @@ def slice_members(s: IntSet, x: Fraction, k: int) -> IntSet:
 small_sets = st.sets(st.integers(min_value=1, max_value=100), min_size=1, max_size=12)
 
 
+def test_interval_examples():
+    # the kernel's arc for k = 2, 3 and 10, probed on a grid that holds both endpoints
+    for k, lo, hi in [
+        (2, Fraction(1, 3), Fraction(2, 3)),
+        (3, Fraction(1, 8), Fraction(3, 8)),
+        (10, Fraction(1, 99), Fraction(10, 99)),
+    ]:
+        assert erdos_arc(k) == (lo, hi)
+        den = 2 * (k * k - 1)
+        for j in range(den):
+            x = Fraction(j, den)
+            assert _slice_members((1,), x, k) == ([1] if lo < x < hi else [])
+
+
 def test_interval_geometry():
     for k in range(2, 12):
         lo, hi = erdos_arc(k)
@@ -77,6 +92,19 @@ def test_interval_endpoint_identities():
         lo, hi = erdos_arc(k)
         assert k * lo == hi
         assert k * hi == 1 + lo
+
+
+def test_interval_rejects_bad_arity():
+    # k = 1 has no arc, as k^2 - 1 = 0: every extraction refuses it before slicing
+    s = IntSet.of([1, 2, 3])
+    for method in ("sweep", "descent", "auto"):
+        with pytest.raises(InvalidParameterError, match="arity k"):
+            extract_dilate_exhaustive(s, 1, method=method)
+    f = generate(FolnerGrid(2, 2))
+    with pytest.raises(InvalidParameterError, match="arity k"):
+        extract_dilate_folner(s, f, IntSet.of([1]), 1)
+    with pytest.raises(InvalidParameterError, match="arity k"):
+        extract_dilate_measure(f, IntSet.of([1]), uniform_measure(2), 1)
 
 
 def test_exhaustive_examples():

@@ -20,6 +20,7 @@ from sumfree import (
     build_mu,
     build_nu,
     difference_kernel,
+    extract_dilate_measure,
     is_k_sum_free,
     mix,
     parse_measure,
@@ -36,6 +37,25 @@ small_sets = st.sets(st.integers(min_value=1, max_value=30), max_size=10)
 def evaluate(m: RationalMeasure, s: IntSet) -> Fraction:
     """Oracle: the measure of s, its support points' weights added one Fraction at a time."""
     return sum((w for point, w in m.weights.items() if point in s), Fraction(0))
+
+
+def contraction_index(k: int, eps: Fraction) -> int:
+    """Oracle: the least i >= 1 with (k/(k+1))^i <= 2*eps."""
+    return next(i for i in range(1, 1000) if Fraction(k, k + 1) ** i <= 2 * eps)
+
+
+def start_weight(k: int, steps: int) -> Fraction:
+    """The weight build_mu keeps on its starting measure after `steps` mixing steps.
+
+    At Q = 1 the pushforward is the identity, and a provider that answers n with
+    the point mass at n + 1 puts each fresh measure on a new point, so the
+    starting point 2 keeps exactly the weight that the mixing leaves it.
+    """
+
+    def shifted(n):
+        return RationalMeasure.from_weights({n + 1: 1})
+
+    return build_mu(steps + 1, 1, k, shifted).weight_at(2)
 
 
 def random_measure(rng: random.Random) -> RationalMeasure:
@@ -174,8 +194,9 @@ def test_evaluate_is_linear_in_the_measure(values, rng):
     [
         lambda k: NuSchedule((5, 10), (0, 1), Fraction(1, 4), k),
         lambda k: build_mu(2, 2, k, uniform_measure),
+        lambda k: extract_dilate_measure(IntSet.of([1]), IntSet.of([1]), uniform_measure(2), k),
     ],
-    ids=["NuSchedule", "build_mu"],
+    ids=["NuSchedule", "build_mu", "extract_dilate_measure"],
 )
 def test_non_integer_arity_rejected(build):
     with pytest.raises(InvalidParameterError, match="integer"):
@@ -336,6 +357,23 @@ def test_build_mu_refuses_requests_summing_past_twice_the_support_cap_before_bui
     assert requests == [1 + j * 10**5 for j in range(6)]
 
 
+def test_contraction_index_examples():
+    # build_mu keeps (k/(k+1))^i on its start after i steps: the least i at or below 2*eps
+    for k, eps, i in [(2, Fraction(1, 10), 4), (2, Fraction(1, 3), 1), (9, Fraction(1, 10), 16)]:
+        assert contraction_index(k, eps) == i
+        assert start_weight(k, i) <= 2 * eps < start_weight(k, i - 1)
+
+
+def test_contraction_index_minimality():
+    for k in (2, 3, 7):
+        for eps in (Fraction(1, 10), Fraction(1, 50), Fraction(2, 9)):
+            i = contraction_index(k, eps)
+            ratio = Fraction(k, k + 1)
+            assert start_weight(k, i) == ratio**i <= 2 * eps
+            if i > 1:
+                assert start_weight(k, i - 1) == ratio ** (i - 1) > 2 * eps
+
+
 def test_serialize_measure_format_and_round_trip():
     blended = mix([Fraction(1, 2), Fraction(1, 2)], [uniform_measure(1), uniform_measure(2)])
     text = serialize_measure(blended)
@@ -373,8 +411,7 @@ def test_contraction_bound_on_periodic_corpus():
     """
     k, q = 2, 2
     eps = Fraction(1, 10)
-    # the least i with (k/(k+1))^i <= 2*eps
-    i_max = next(i for i in range(1, 100) if Fraction(k, k + 1) ** i <= 2 * eps)
+    i_max = contraction_index(k, eps)
     assert i_max == 4
     mu = build_mu(i_max, q, k, uniform_measure, n_start=3)
     assert mu.mass == 1
