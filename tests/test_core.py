@@ -6,6 +6,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given
@@ -377,6 +378,38 @@ def test_cost_estimate_routes_dense_sets_to_bitsets_and_sparse_sets_to_enumerati
     sparse = IntSet.of(random.Random(7).sample(range(1, 10**6), 40))
     for k in (2, 3, 4, 5):
         assert core._enumeration_is_cheaper(sparse.elements, k)
+
+
+def formed_estimate(elements, k):
+    """The route estimate with every product formed in full, as the library once costed it."""
+    n, top = len(elements), elements[-1]
+    spread = factorial(k) * (2 * sum(elements)) ** k
+    share = min((n * top) ** k, spread)
+    enumeration = comb(n + k - 1, k) * share * core._ENUMERATION_STEP_BITS
+    bitset = (k - 1) * n * (core._ENUMERATION_STEP_BITS + top) * spread
+    return enumeration < bitset
+
+
+def test_cost_estimate_decides_as_the_fully_formed_products_do():
+    rng = random.Random(1)
+    cases = []
+    for _ in range(600):
+        # elements below 10^j beside one up to 10^6, so n·max A reaches far past
+        # 2·sum A as well as below it
+        values = rng.sample(range(1, 10 ** rng.randint(2, 6)), rng.randint(0, 39))
+        cases.append((sorted({*values, rng.randint(1, 10**6)}), rng.randint(2, 12)))
+    for k in (100, 1000, 10**4):
+        for n in range(1, 6):
+            cases.append((sorted(rng.sample(range(1, 60), n)), k))
+            cases.append(([1, *rng.sample(range(k // 2, 2 * k), n)], k))
+    # a dense block where both bounds settle, the second one for the bitset route
+    cases.append((list(range(1000, 2000)), 20))
+    decisions = set()
+    for elements, k in cases:
+        decision = core._enumeration_is_cheaper(tuple(elements), k)
+        assert decision == formed_estimate(elements, k), (elements, k)
+        decisions.add(decision)
+    assert decisions == {True, False}
 
 
 def test_small_bitset_caps_force_enumeration(monkeypatch):

@@ -143,7 +143,7 @@ def test_defect_takes_the_closed_form_just_past_the_enumeration_cap(monkeypatch)
     factors = (1, 6, 2**316, 3**317, 5)
     expected = {a: set_dilation_defect(f, a) for a in factors}
 
-    def refuse(members, a):
+    def refuse(*args):
         raise AssertionError("a grid past the cap must take the closed form")
 
     monkeypatch.setattr("sumfree.folner._injective_defect", refuse)
@@ -177,10 +177,25 @@ def test_defect_reuses_the_last_grids_set_and_only_that():
         kept = folner._enumerated.get(grid)
         for a in (1, 2, 3, 5, 6, 7, 12, 30):
             assert defect(grid, a) == defect_closed_form(grid, a)
-        assert folner._enumerated == {grid: frozenset(generate(grid).elements)}
+        elements, members = folner._enumerated[grid]
+        assert list(folner._enumerated) == [grid]
+        assert sorted(elements) == list(generate(grid).elements) and members == set(elements)
         if grid == last:
             assert grid is not last and folner._enumerated[grid] is kept
         last = grid
+
+
+def test_defect_routes_agree_on_every_small_grid_and_on_a_repeat():
+    rng = random.Random(1)
+    for r in range(1, 4):
+        for b in range(1, 7):
+            grid = FolnerGrid(r, b)
+            f = generate(grid)
+            past = f.largest() + rng.randint(1, f.largest())
+            for a in [*range(1, 61), past]:
+                first = defect(grid, a)  # a repeat reads the kept list and set
+                assert defect(grid, a) == first == set_dilation_defect(f, a)
+                assert first == defect_closed_form(grid, a)
 
 
 @given(
