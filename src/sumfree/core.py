@@ -10,8 +10,9 @@ Two independent routes decide the predicate: a bitset route that builds
 iterated sumsets by shifted OR on Python integers, and a direct multiset
 enumeration with monotone pruning, on an explicit stack so any k fits.
 They must agree; the test suite checks that.  ``is_k_sum_free`` answers
-at once when k·min A > max A; otherwise it estimates the cost of each from
-|A|, max A, the mean of A and k, and takes the cheaper: dense sets of small
+at once when k·min A > max A; otherwise it costs each route from |A|,
+max A, sum A and k, and enumerates when enumeration < bitset or
+enumeration·(|A|·max A)^k < bitset·k!·(2·sum A)^k: dense sets of small
 integers go to the bitsets, sparse sets of large integers to the
 enumeration.  ``bitset_cap`` is a hard limit on the bitset route; a set
 whose largest element exceeds it is always enumerated.
@@ -218,29 +219,28 @@ def _enumeration_is_cheaper(elements: tuple[int, ...], k: int) -> bool:
     comb(|A|+k-1, k) multisets, and for elements spread uniformly with A's
     mean m, the share with sum at most max A is (max A/(2m))^k/k!, capped
     at 1.  The mean keeps sets packed far below a large maximum on the
-    bitset route.  Integer arithmetic throughout: no float steers a route.
-    At large k the powers and k! run to millions of bits, so each comparison
-    is settled first from bounds on log2, as 2^(l-1) <= v < 2^l at bit
-    length l, and the products are formed only where those bounds overlap.
+    bitset route.  So the enumeration is the cheaper when enumeration <
+    bitset or enumeration·(|A|·max A)^k < bitset·k!·(2·sum A)^k.  Integer
+    arithmetic throughout: no float steers a route.  At large k the powers
+    and k! run to millions of bits, so the second clause is settled first
+    from bounds on log2, as 2^(l-1) <= v < 2^l at bit length l, and the
+    products are formed only where those bounds overlap.
     """
     n, top = len(elements), elements[-1]
     widest, mass = n * top, 2 * sum(elements)
     enumeration = comb(n + k - 1, k) * _ENUMERATION_STEP_BITS
     bitset = (k - 1) * n * (_ENUMERATION_STEP_BITS + top)
-    # log2 of spread = k!·(2·sum A)^k over (n·max A)^k lies in (gap - 2k, gap + k): each
-    # factor of k! and of the two powers is within a bit of its bit length, and the bit
-    # lengths of 1..k sum to width·(k + 1) - 2^width + 1
+    if enumeration < bitset:
+        return True
+    # log2 of bitset·k!·(2·sum A)^k over enumeration·(n·max A)^k lies in (margin - 2k - 1,
+    # margin + k + 1): each factor is within a bit of its bit length, and the bit lengths
+    # of 1..k sum to width·(k + 1) - 2^width + 1
     width = k.bit_length()
-    gap = width * (k + 1) - (1 << width) + 1 + k * (mass.bit_length() - widest.bit_length())
-    if gap <= -k:  # the min is spread, which cancels from both sides
-        return enumeration < bitset
-    if gap >= 2 * k:  # the min is (n·max A)^k; log2 of bitset·spread over
-        # enumeration·(n·max A)^k lies in (margin - 2k - 1, margin + k + 1)
-        margin = gap + bitset.bit_length() - enumeration.bit_length()
-        if not -k - 1 < margin <= 2 * k:
-            return margin > 0
-    spread = factorial(k) * mass**k  # the bounds overlap: form the products
-    return enumeration * min(widest**k, spread) < bitset * spread
+    margin = width * (k + 1) - (1 << width) + 1 + bitset.bit_length() - enumeration.bit_length()
+    margin += k * (mass.bit_length() - widest.bit_length())
+    if not -k - 1 < margin <= 2 * k:
+        return margin > 0
+    return enumeration * widest**k < bitset * factorial(k) * mass**k  # form the products
 
 
 def is_k_sum_free(s: IntSet, k: int, bitset_cap: int = DEFAULT_BITSET_CAP) -> bool:

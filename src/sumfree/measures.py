@@ -148,13 +148,12 @@ class NuSchedule:
         for j, n in enumerate(self.n_sequence):
             _require_int(n, f"scale {j}", prev + 1)  # so the scales strictly increase
             prev = n
+        low = 0
         for j, end in enumerate(self.block_ends):
-            _require_int(end, f"block boundary {j}", 0)
+            _require_int(end, f"block boundary {j}", low)  # so the boundaries strictly increase
+            low = end + 1
         if not self.block_ends or self.block_ends[0] != 0:
             raise InvalidParameterError("block boundaries must start at index 0")
-        for lo, hi in zip(self.block_ends, self.block_ends[1:]):
-            if hi <= lo:
-                raise InvalidParameterError("block boundaries must be strictly increasing")
         if self.block_ends[-1] >= len(self.n_sequence):
             raise InvalidParameterError("block boundaries run past the scale sequence")
         _require_rational(self.eps, "eps", 0)
@@ -201,7 +200,10 @@ def build_mu(
 
     Starts from mu_1 = nu_provider(n_start); at each step the provider is
     asked for a measure at q times the current support bound.  Providers
-    must return mass-1 measures supported at least as far as the request.
+    must be functions of n, returning mass-1 measures supported at least as
+    far as the request.  The iteration stops at a repeated mixture, since a
+    step whose mixture equals its input repeats forever: at q = 1, with a
+    provider supported up to its request, it answers after one step.
     No request may pass SUPPORT_CAP, nor all requests summed 2*SUPPORT_CAP:
     request j is at least n_start*q^(j-1), so a recursion that must pass
     either is refused before the provider is called.
@@ -216,30 +218,25 @@ def build_mu(
     _require_within(scale, SUPPORT_CAP, "measure support needs {} points")
     # at q = 1 the walk stops at once, and each of the steps left asks for n_start at least
     _require_within(total + steps * scale, 2 * SUPPORT_CAP, "measure requests sum to {} points")
-    requested = 0
-
-    def fetch(n: int) -> RationalMeasure:
-        nonlocal requested
+    keep, inject = Fraction(k, k + 1), Fraction(1, k + 1)
+    mu, n, requested = None, n_start, 0
+    for _ in range(i_max):
         requested += n
         _require_within(n, SUPPORT_CAP, "measure support needs {} points")
         _require_within(requested, 2 * SUPPORT_CAP, "measure requests sum to {} points")
-        candidate = nu_provider(n)
-        if candidate.mass != 1:
-            raise InvalidParameterError(f"nu provider returned mass {candidate.mass} at {n}")
-        if candidate.support_max < n:
+        fresh = nu_provider(n)
+        if fresh.mass != 1:
+            raise InvalidParameterError(f"nu provider returned mass {fresh.mass} at {n}")
+        if fresh.support_max < n:
             raise InvalidParameterError(
-                f"nu provider at {n} is supported only up to {candidate.support_max}"
+                f"nu provider at {n} is supported only up to {fresh.support_max}"
             )
-        return candidate
-
-    mu = fetch(n_start)
-    keep = Fraction(k, k + 1)
-    inject = Fraction(1, k + 1)
-    for _ in range(i_max - 1):
-        fresh = fetch(q * mu.support_max)
-        mu = mix([keep, inject], [pushforward_scale(mu, q), fresh])
-        if mu.mass != 1:
-            raise FalsificationError(f"mixture lost mass: {mu.mass}")
+        mixed = fresh if mu is None else mix([keep, inject], [pushforward_scale(mu, q), fresh])
+        if mixed.mass != 1:
+            raise FalsificationError(f"mixture lost mass: {mixed.mass}")
+        if mixed == mu:  # the next request is n again, so every later step repeats this one
+            break
+        mu, n = mixed, q * mixed.support_max
     return mu
 
 

@@ -182,6 +182,11 @@ def test_folner_gen_refuses_a_grid_too_large_to_print(capsys):
     assert caught.value.required == 2000**2000
 
 
+def test_folner_gen_refuses_a_grid_descriptor_with_three_numbers(capsys):
+    assert main(["folner", "gen", "--grid", "1,2,3"]) == 2
+    assert "bad grid descriptor '1,2,3'" in capsys.readouterr().err
+
+
 def test_folner_defect(capsys):
     assert main(["folner", "defect", "--grid", "3,3", "--a", "2"]) == 0
     assert capsys.readouterr().out == "defect=2/3 closed_form=2/3 match=true\n"

@@ -125,6 +125,11 @@ def test_exhaustive_rejects_empty():
         extract_dilate_exhaustive(IntSet.of([]), 2)
 
 
+def test_exhaustive_rejects_an_unknown_method():
+    with pytest.raises(InvalidParameterError, match="unknown extraction method 'bisect'"):
+        extract_dilate_exhaustive(IntSet.of([1, 5]), 2, method="bisect")
+
+
 @given(small_sets, st.integers(min_value=2, max_value=4))
 @settings(max_examples=40)
 def test_sweep_guarantee_and_feasibility(values, k):
@@ -225,6 +230,15 @@ def test_folner_extraction_validates_inner():
         extract_dilate_folner(IntSet.of([1]), f, IntSet.of([5]), 2)
     with pytest.raises(InvalidParameterError):
         extract_dilate_folner(IntSet.of([1]), f, IntSet.of([1, 2, 3]), 2)
+
+
+def test_grid_extractions_reject_an_empty_source_or_grid():
+    f, inner, empty = generate(FolnerGrid(2, 2)), IntSet.of([2, 3]), IntSet.of([])
+    for source, grid in [(empty, f), (IntSet.of([1]), empty)]:
+        with pytest.raises(InvalidParameterError, match="source set and the grid must be nonempty"):
+            extract_dilate_folner(source, grid, inner, 2)
+    with pytest.raises(InvalidParameterError, match="the grid must be nonempty"):
+        extract_dilate_measure(empty, empty, uniform_measure(2), 2)
 
 
 def test_measure_extraction_point_mass():

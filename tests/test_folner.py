@@ -67,6 +67,11 @@ def test_grid_construction_and_parse():
         FolnerGrid.parse("nope")
 
 
+def test_grid_parse_refuses_three_numbers():
+    with pytest.raises(InvalidParameterError, match="bad grid descriptor '1,2,3'"):
+        FolnerGrid.parse("1,2,3")
+
+
 def test_generate_examples():
     assert generate(FolnerGrid(1, 1)).elements == (1,)
     assert generate(FolnerGrid(2, 2)).elements == (1, 2, 3, 6)

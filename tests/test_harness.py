@@ -92,6 +92,16 @@ def test_grower_refuses_an_include_probability_that_is_no_real_number_in_the_uni
         grow_k_sum_free(2, 50, random.Random(0), bad)
 
 
+def test_grower_refuses_thinning_without_a_generator():
+    with pytest.raises(InvalidParameterError, match="thinning requires a random generator"):
+        grow_k_sum_free(2, 50, None, 0.5)
+
+
+def test_grower_refuses_a_seed_element_above_the_horizon():
+    with pytest.raises(InvalidParameterError, match=r"seed element 51 is outside \[1, 50\]"):
+        grow_k_sum_free(2, 50, seed_elements=(3, 51))
+
+
 # sha256 of the generators' outputs, and of the next draw after each call, for seeds 0..19;
 # drop instances are hashed as serialize_instance writes them, with the schedule as its ratio
 GENERATOR_DIGESTS = {

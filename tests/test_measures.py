@@ -216,6 +216,12 @@ def test_nu_schedule_validation():
         NuSchedule((5, 10), (0, 1), Fraction(0), 2)
 
 
+def test_nu_schedule_refuses_block_boundaries_that_do_not_increase():
+    for ends in [(0, 2, 1), (0, 1, 1)]:
+        with pytest.raises(InvalidParameterError, match="block boundar"):
+            NuSchedule((1, 2, 3, 4), ends, Fraction(1, 4), 2)
+
+
 def test_build_nu_degenerate_schedule_is_uniform():
     sch = NuSchedule((7,), (0,), Fraction(1, 4), 2)
     assert build_nu(sch) == uniform_measure(7)
@@ -357,6 +363,22 @@ def test_build_mu_refuses_requests_summing_past_twice_the_support_cap_before_bui
     assert requests == [1 + j * 10**5 for j in range(6)]
 
 
+def test_build_mu_stops_at_its_fixed_point():
+    requests = []
+
+    def recording(n):
+        requests.append(n)
+        return uniform_measure(n)
+
+    # at Q = 1 the second step mixes the start with itself: every later step would repeat it
+    assert build_mu(50, 1, 2, recording) == uniform_measure(1)
+    assert requests == [1, 1]
+    # at Q = 2 the support doubles each step, so no mixture repeats its input
+    requests.clear()
+    build_mu(5, 2, 2, recording)
+    assert requests == [1, 2, 4, 8, 16]
+
+
 def test_contraction_index_examples():
     # build_mu keeps (k/(k+1))^i on its start after i steps: the least i at or below 2*eps
     for k, eps, i in [(2, Fraction(1, 10), 4), (2, Fraction(1, 3), 1), (9, Fraction(1, 10), 16)]:
@@ -398,6 +420,16 @@ def test_parse_measure_rejects_garbage():
         parse_measure("0 1/2\n")
     with pytest.raises(InvalidParameterError):
         parse_measure("2 -1/2\n")
+
+
+def test_parse_measure_refuses_a_line_with_three_fields():
+    with pytest.raises(InvalidParameterError, match="line 2: expected 'point num/den'"):
+        parse_measure("1 1/2\n2 1/4 1/4\n")
+
+
+def test_parse_measure_refuses_a_duplicate_support_point():
+    with pytest.raises(InvalidParameterError, match="line 3: duplicate support point 1"):
+        parse_measure("1 1/4\n2 1/2\n1 1/4\n")
 
 
 def test_contraction_bound_on_periodic_corpus():

@@ -68,6 +68,11 @@ def test_periodic_hull_examples():
     assert periodic_hull(IntSet.of([1, 2]), 2, 5) == ResidueSet.of(5, [1, 2])
 
 
+def test_residue_set_refuses_a_residue_equal_to_its_modulus():
+    with pytest.raises(InvalidParameterError, match="residue 5 out of range for modulus 5"):
+        ResidueSet(5, frozenset({1, 5}))
+
+
 @given(
     st.sets(st.integers(min_value=1, max_value=80), max_size=15),
     st.integers(min_value=1, max_value=12),
@@ -813,6 +818,13 @@ def test_parse_instance_refuses_coerced_values_and_keeps_harness_instances():
         payload[field] = value
         with pytest.raises(InvalidParameterError, match=field):
             parse_instance(json.dumps(payload))
+
+
+def test_parse_instance_refuses_a_difference_given_as_a_float():
+    payload = json.loads(serialize_instance(random_drop_instance(2, random.Random(5))))
+    payload["difference"] = 2.0
+    with pytest.raises(InvalidParameterError, match="difference must be an integer, got 2.0"):
+        parse_instance(json.dumps(payload))
 
 
 def test_verify_density_drop_seeded_instances():
