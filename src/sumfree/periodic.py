@@ -18,6 +18,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .core import (
@@ -80,6 +81,22 @@ def difference_kernel(r: ResidueSet, k: int) -> ResidueSet:
     q = r.modulus
     reached = k_difference_set(IntSet.of(x or q for x in r.residues), k, q)
     return ResidueSet(q, r.residues - {t % q for t in reached})
+
+
+def _within_bajnok(size: int, q: int, k: int) -> bool:
+    """Whether size <= v(q), Bajnok's largest k-sum-free subset of Z/q: the
+    maximum over d | q of the arc width floor((d - 1 - gcd(d, k - 1))/(k + 1)) + 1
+    of Z/d, lifted q/d times.  d = q is read first: its width exceeds
+    (q - k)/(k + 1), so a size past it puts q below (k + 1)·size + k, and only
+    then are the divisors found, by trial up to sqrt(q).
+    """
+
+    def lifted(d: int) -> int:
+        return ((d - 1 - gcd(d, k - 1)) // (k + 1) + 1) * (q // d)
+
+    if size <= lifted(q):
+        return True
+    return size <= max(lifted(e) for d in range(1, isqrt(q) + 1) if not q % d for e in (d, q // d))
 
 
 def _progressions(
@@ -397,7 +414,9 @@ def fls_step(
     the supplied (modulus, ap_length, n0) sat below the sizes that would
     guarantee a progression; Falsified means every hypothesis held and
     the scan still failed, which is a bug or a counterexample and ships
-    with a replayable instance.  The step scans the entries of
+    with a replayable instance.  A containment hull larger than Bajnok's
+    v(Q), the largest k-sum-free size in Z/Q, raises FalsificationError,
+    as only a faulty kernel could keep it.  The step scans the entries of
     ``geometric_schedule(n0, 16k/eps, k*n0)`` as it builds them, up to the
     first drop.  A given schedule must equal that one: the instance of a
     Falsified outcome records only the ratio.
@@ -424,6 +443,12 @@ def fls_step(
     hull = ResidueSet.of(modulus, restricted)
     kernel = difference_kernel(hull, k)
     if kernel == hull:
+        # a hull the kernel keeps whole is k-sum-free in Z/Q, so Bajnok bounds its size
+        if not _within_bajnok(len(hull.residues), modulus, k):
+            raise FalsificationError(
+                f"the kernel kept a hull of {len(hull.residues)} residues mod {modulus}, "
+                f"past the largest {k}-sum-free size in Z/{modulus}"
+            )
         return PeriodicContainment(hull)
     candidates = IntSet(tuple(a for a in restricted if a % modulus not in kernel.residues))
     ap = find_ap(candidates, n0, ap_length, modulus)

@@ -5,8 +5,12 @@ contributes its support set as a forbidden edge; a subset of A is
 k-sum-free exactly when it contains no edge in full.  Edges that contain
 another edge are dropped, since they can never be the binding constraint.
 Edges are bitmasks from the build onward; bit i stands for the i-th
-smallest element of A.  The build decodes each support once, into the
-vertex ``positions`` that both solvers and the ``edges`` view read.
+smallest element of A, and they are ordered by size, then by positions.
+For k >= 3 the build sorts the supports, decoding each once into the
+vertex ``positions`` that both solvers and the ``edges`` view read, and
+drops the non-minimal ones through an index.  At k = 2 it needs neither:
+the pairs {a, 2a} and then the triples {a, b, a + b} come out in that order
+from two passes over A, and a triple holds a smaller edge only when b = 2a.
 
 Two solvers: a plain depth-first enumeration over subsets (``brute``),
 kept simple enough to trust as an oracle and guaranteeing the
@@ -39,9 +43,10 @@ suffices, because forcing a vertex out never creates a unit.  The greedy
 bound clears each pick by one mask, the OR of the columns of its
 vertices not taken, built on first use and kept by the frame: by edge
 for a pick with no taken vertex, else by its vertices not taken.  Once
-the alive edges fill under 1/8 of the frame they are renumbered into a
-new one, in the same order, so that each bitmask costs their count
-rather than the count of all edges.
+the alive edges fill under 1/8 of a frame of 64 edges or more they are
+renumbered into a new one, in the same order, so that each bitmask costs
+their count rather than the count of all edges; a one-word frame is kept,
+as renumbering it would save nothing and drop its pick masks.
 ``bb`` honors a wall-clock budget of positive finite seconds, started before
 the hypergraph build and read at every node: on expiry the best set found so
 far, the seed at least, is returned as a certified lower bound, not an optimum.
@@ -52,6 +57,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -81,11 +87,59 @@ class ForbiddenHypergraph:
 
 
 def build_hypergraph(s: IntSet, k: int, strong: bool = False) -> ForbiddenHypergraph:
-    """All minimal forbidden supports for k (or for every arity 2..k if strong)."""
+    """All minimal forbidden supports for k (or for every arity 2..k if strong).
+
+    At k = 2 (where strong adds no arity) the edges are emitted in their
+    final order, with no sort and no minimality index: first each pair
+    {a, 2a}, a ascending, then each triple {a, b, a + b}, a < b ascending,
+    except b = 2a, the only way a triple can hold a smaller edge.  Every
+    support found counts against DEFAULT_EDGE_CAP, those triples included, so
+    the cap refuses the same sets as the general route, which builds k >= 3.
+    """
     _require_arity(k)
+    if k == 2:
+        return _sum_hypergraph(s)
+    return _minimal_hypergraph(s, range(2, k + 1) if strong else (k,))
+
+
+def _sum_hypergraph(s: IntSet) -> ForbiddenHypergraph:
+    elements = s.elements
+    cap = DEFAULT_EDGE_CAP
+    top = max(elements, default=0)
+    index = {v: i for i, v in enumerate(elements)}
+    get = index.get
+    found = 0
+    masks: list[int] = []
+    positions: list[tuple[int, ...]] = []
+    for i, a in enumerate(elements):
+        j = get(2 * a)
+        if j is not None:
+            found += 1
+            if found > cap:
+                _require_within(found, cap, "build found {} supports")
+            masks.append(1 << i | 1 << j)
+            positions.append((i, j))
+    for i, a in enumerate(elements):
+        end = bisect_right(elements, top - a)
+        if end <= i + 1:  # top - a only falls as a grows: no pair a < b remains
+            break
+        for j, b in enumerate(elements[i + 1 : end], i + 1):
+            t = get(a + b)
+            if t is not None:
+                found += 1
+                if found > cap:
+                    _require_within(found, cap, "build found {} supports")
+                if b != 2 * a:
+                    masks.append(1 << i | 1 << j | 1 << t)
+                    positions.append((i, j, t))
+    return ForbiddenHypergraph(s, tuple(masks), tuple(positions))
+
+
+def _minimal_hypergraph(s: IntSet, arities: Sequence[int]) -> ForbiddenHypergraph:
+    """The minimal supports of the violations at each arity, by sort and index."""
     bit = {v: 1 << i for i, v in enumerate(s.elements)}
     supports: set[int] = set()
-    for ell in range(2, k + 1) if strong else (k,):
+    for ell in arities:
         for summands, total in _violations(s.elements, ell, max(s.elements, default=0)):
             mask = bit[total]
             for a in summands:
@@ -274,9 +328,11 @@ def _solve_bb(graph: ForbiddenHypergraph, deadline: Optional[float]) -> SolveRes
                     degrees[i] -= 1
                 dead ^= low
         # renumber the alive edges once they fill under 1/8 of the frame, so that
-        # each bitmask operation costs their count, not the count of all edges
+        # each bitmask operation costs their count, not the count of all edges; a
+        # frame of under 64 edges is one word already, and renumbering it would
+        # only rebuild its columns and drop its pick masks
         count = alive.bit_count()
-        if count * 8 < len(edge_masks):
+        if words and count * 8 < len(edge_masks):
             positions = _bits(alive)
             frame = _frame(
                 n, [edge_masks[p] for p in positions], [vertex_tuples[p] for p in positions]

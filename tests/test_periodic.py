@@ -25,6 +25,7 @@ from sumfree import (
     DensityDrop,
     DensityDropInstance,
     Falsified,
+    FalsificationError,
     IntSet,
     InvalidParameterError,
     PeriodicContainment,
@@ -294,6 +295,26 @@ def test_residue_sets_the_kernel_accepts_stay_within_bajnoks_size():
         assert len(kernel.residues) <= bajnok_maximum(q, k)
         at_maximum += len(kernel.residues) == bajnok_maximum(q, k) > 0
     assert at_maximum >= 30
+
+
+def test_step_tripwire_reads_bajnoks_size():
+    # the tripwire reads v(q) from q = d first and finds the divisors only past it
+    for q in range(1, 121):
+        for k in (2, 3, 4, 7):
+            v = bajnok_maximum(q, k)
+            assert [periodic._within_bajnok(size, q, k) for size in (v, v + 1)] == [True, False]
+
+
+def test_fls_step_refuses_a_containment_past_bajnoks_size(monkeypatch):
+    # a kernel that keeps every hull passes the odds' full hull {0, 1, 2} mod 3 at
+    # k = 2, but Z/3 holds at most v(3) = 1 sum-free residue
+    monkeypatch.setattr(periodic, "difference_kernel", lambda r, k: r)
+    odds = IntSet.of(range(1, 1001, 2))
+    eps = Fraction(1, 10)
+    assert periodic_hull(odds, 100, 3) == ResidueSet.of(3, [0, 1, 2])
+    assert bajnok_maximum(3, 2) == 1
+    with pytest.raises(FalsificationError, match="hull of 3 residues mod 3"):
+        fls_step(odds, 2, 100, 3, min_ap_length(2, eps), eps)
 
 
 def test_kernel_translate_counting_bound():

@@ -275,6 +275,19 @@ def test_timeout_on_f4_returns_a_certified_lower_bound():
     assert is_k_sum_free(r.witness, 2)
 
 
+def _count_frames(monkeypatch):
+    """The list bb's frame builds append to: the root's, then one per renumbering."""
+    built = []
+    frame = solver._frame
+
+    def counted_frame(*args):
+        built.append(None)
+        return frame(*args)
+
+    monkeypatch.setattr(solver, "_frame", counted_frame)
+    return built
+
+
 @pytest.mark.parametrize(
     "k, strong, ticks, nodes, frames, digest",
     [
@@ -291,16 +304,9 @@ def test_bb_search_tree_on_f4_is_pinned(monkeypatch, k, strong, ticks, nodes, fr
     # and the stop.  What pins the tree is the count of frames built: the root's
     # and one per renumbering.  At k = 3 that count (134) moves with the order of
     # the nodes; at k = 2 (one frame) and strong k = 3 (6 frames) it reads little.
-    built = []
-    frame = solver._frame
-
-    def counted_frame(*args):
-        built.append(None)
-        return frame(*args)
-
     f4 = generate(FolnerGrid.diagonal(4))
     monkeypatch.setattr(solver.time, "monotonic", itertools.count().__next__)
-    monkeypatch.setattr(solver, "_frame", counted_frame)
+    built = _count_frames(monkeypatch)
     r = max_k_sum_free(f4, k, strong=strong, budget=ticks)
     assert (r.nodes, r.status, len(built)) == (nodes, "timeout-lower-bound", frames)
     row = (r.size, r.witness.elements, r.nodes, r.status)
@@ -418,6 +424,74 @@ def test_edge_cap_stops_the_build(monkeypatch):
     assert build_hypergraph(s, 2).edges
 
 
+def _k2_sets():
+    rng = random.Random("k2-route")
+    sets = [IntSet.of([]), IntSet.of([5])]
+    for i in range(120):
+        top = (60, 120, 500, 5000)[i % 4]
+        sets.append(IntSet.of(rng.sample(range(1, top), 5 + i % 40)))
+    # chains {x, 2x, 3x, ...}, where every triple {a, 2a, 3a} is a support but no edge
+    sets += [IntSet.of(range(x, 40 * x, x)) for x in (1, 2, 7)]
+    # sparse sets near 10^6, with some of their sums and doubles put back
+    for i in range(20):
+        base = rng.sample(range(1, 5 * 10**5), 25)
+        sums = [a + b for a, b in zip(base, base[1 + i % 3 :])] + [2 * a for a in base[:3]]
+        sets.append(IntSet.of(base + sums[:: 1 + i % 2]))
+    sets += [generate(FolnerGrid.diagonal(m)) for m in (1, 2, 3, 4)]
+    sets.append(generate(FolnerGrid(3, 4)))
+    return sets
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_k2_route_matches_the_general_build(strong):
+    # at k = 2 the build emits each edge in its final place; the general route
+    # sorts all supports and drops those holding a smaller edge
+    for s in _k2_sets():
+        h = build_hypergraph(s, 2, strong=strong)
+        ref = solver._minimal_hypergraph(s, (2,))
+        assert (h.masks, h.positions) == (ref.masks, ref.positions)
+
+
+def _refusal(monkeypatch, build, s, cap):
+    monkeypatch.setattr(solver, "DEFAULT_EDGE_CAP", cap)
+    try:
+        return len(build(s).masks)
+    except ResourceLimitError as err:
+        return ("refused", err.required)
+
+
+def test_k2_route_refuses_exactly_what_the_general_build_refuses(monkeypatch):
+    # a support is a pair a <= b of members with a + b a member; the cap counts
+    # them all, so it refuses at c + 1 of them on both routes, even where the
+    # triples {a, 2a, 3a} that are no edge are what pass c: {1, 2, 3} has one
+    # edge, {1, 2}, and two supports, so a cap of 1 refuses it
+    routes = (lambda s: build_hypergraph(s, 2), lambda s: solver._minimal_hypergraph(s, (2,)))
+    sets = [IntSet.of([1, 2, 3]), IntSet.of(range(1, 13))] + _k2_sets()[:40:3]
+    counts = []
+    for s in sets:
+        supports = sum(a + b in s for a, b in combinations_with_replacement(s.elements, 2))
+        counts.append((s, supports, len(build_hypergraph(s, 2).masks)))
+    for s, supports, edges in counts:
+        for cap in {max(edges - 1, 0), edges, max(supports - 1, 0), supports}:
+            got = [_refusal(monkeypatch, build, s, cap) for build in routes]
+            expected = ("refused", cap + 1) if supports > cap else edges
+            assert got == [expected, expected], (s, cap)
+
+
+def test_one_word_frames_are_never_renumbered(monkeypatch):
+    # 38 edges fit in one word, so renumbering the few left alive would only
+    # rebuild the columns: the root's frame serves the whole search
+    rng = random.Random("bb-one-word")
+    s = IntSet.of(rng.sample(range(1, 400), 38))
+    graph = build_hypergraph(s, 2)
+    assert len(graph.masks) == 38
+    built = _count_frames(monkeypatch)
+    new, old = _bb_and_reference(monkeypatch, graph, 10**5)
+    assert new == old
+    assert (new[0], new[2], new[3]) == (28, 149, "optimal")
+    assert len(built) == 1
+
+
 def _reference_frame(n, masks, vertex_tuples):
     column = [0] * n
     for pos, edge in enumerate(vertex_tuples):
@@ -513,8 +587,10 @@ def test_bb_matches_its_reference_on_seeded_sets(monkeypatch):
     # neighbourhood masks; the search tree, incumbents and witnesses are the
     # reference's, node for node.  The largest of these trees has 10,545 nodes;
     # together they take both degree routes (a decrement per dead edge, a
-    # recount by popcount) and renumber their edges over a hundred times
+    # recount by popcount) and renumber their edges 130 times, in frames of 64
+    # edges or more, so the reference keeps checking the renumbered frames
     rng = random.Random("bb-differential")
+    built = _count_frames(monkeypatch)
     for i in range(48):
         size = 8 + (13 * i) % 53
         k, strong = 2 + i % 3, i % 2 == 1
@@ -522,6 +598,7 @@ def test_bb_matches_its_reference_on_seeded_sets(monkeypatch):
         new, old = _bb_and_reference(monkeypatch, build_hypergraph(s, k, strong=strong), 10**5)
         assert new == old
         assert new[3] == "optimal"
+    assert len(built) - 48 > 100
 
 
 @pytest.mark.parametrize("ticks, size", [(5013, 23), (5014, 24)])
@@ -534,6 +611,8 @@ def test_bb_matches_its_reference_on_g_at_k3(monkeypatch, ticks, size):
     # reaches it at any other node differs from the reference at one of them
     graph = build_hypergraph(generate(FolnerGrid(3, 4)), 3)
     assert len(graph.masks) == 1218
+    built = _count_frames(monkeypatch)
     new, old = _bb_and_reference(monkeypatch, graph, ticks)
     assert new == old
+    assert len(built) == 1 + 146
     assert (new[0], new[2], new[3]) == (size, ticks + 2, "timeout-lower-bound")
